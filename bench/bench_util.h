@@ -227,9 +227,9 @@ class JsonReporter
         jw.endObject();
         // Host-throughput summary of every simulation this process
         // ran (sim::hostRunTotals). Wall-clock data: these two keys
-        // are nondeterministic by design and ignored by both
-        // tools/bench_compare.py (determinism gate) and the baseline
-        // diff; tools/perf_compare.py reads *only* them.
+        // are nondeterministic by design and ignored by the
+        // tools/report_diff.py --exact and --tolerance modes;
+        // --host-band reads *only* them.
         const sim::HostRunTotals host = sim::hostRunTotals();
         jw.beginArray("rows");
         for (const Row &row : rows_) {

@@ -9,12 +9,12 @@
  * sizes. The final row reports `sig_speedup`: the geometric mean of
  * scalar/simd time ratios over the word-level kernels (union,
  * intersect-popcount, estimate; insert is hash-bound and excluded).
- * CI gates `sig_speedup >= 3` via tools/perf_compare.py.
+ * CI gates `sig_speedup >= 3` via tools/report_diff.py --gate.
  *
  * With --json the rows land in a bfgts-obs-v1 "bench" document.
  * Timings are wall-clock and therefore nondeterministic by design;
  * this bench is deliberately NOT registered with the
- * tools/bench_compare.py determinism gate.
+ * tools/report_diff.py --tolerance baseline gates.
  */
 
 #include <algorithm>

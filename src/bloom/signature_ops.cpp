@@ -84,61 +84,6 @@ scalarUnionCounts(const std::uint64_t *a, const std::uint64_t *b,
     return counts;
 }
 
-// ---------------------------------------------------------------------
-// Portable fused kernels: single pass, no temporaries, 4-way unrolled.
-// The fallback tier when the host lacks AVX2/POPCNT; also the tail
-// handler for the vector kernels. Bit-identical to the scalar tier by
-// construction (popcounts are integers).
-// ---------------------------------------------------------------------
-
-std::uint64_t
-fusedPopcountWords(const std::uint64_t *words, std::size_t n)
-{
-    std::uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        c0 += static_cast<std::uint64_t>(std::popcount(words[i]));
-        c1 += static_cast<std::uint64_t>(std::popcount(words[i + 1]));
-        c2 += static_cast<std::uint64_t>(std::popcount(words[i + 2]));
-        c3 += static_cast<std::uint64_t>(std::popcount(words[i + 3]));
-    }
-    for (; i < n; ++i)
-        c0 += static_cast<std::uint64_t>(std::popcount(words[i]));
-    return c0 + c1 + c2 + c3;
-}
-
-std::uint64_t
-fusedAndPopcount(const std::uint64_t *a, const std::uint64_t *b,
-                 std::size_t n)
-{
-    std::uint64_t c0 = 0, c1 = 0;
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        c0 += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
-        c1 += static_cast<std::uint64_t>(
-            std::popcount(a[i + 1] & b[i + 1]));
-    }
-    for (; i < n; ++i)
-        c0 += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
-    return c0 + c1;
-}
-
-UnionCounts
-fusedUnionCounts(const std::uint64_t *a, const std::uint64_t *b,
-                 std::size_t n)
-{
-    UnionCounts counts;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t wa = a[i];
-        const std::uint64_t wb = b[i];
-        counts.popA += static_cast<std::uint64_t>(std::popcount(wa));
-        counts.popB += static_cast<std::uint64_t>(std::popcount(wb));
-        counts.popUnion +=
-            static_cast<std::uint64_t>(std::popcount(wa | wb));
-    }
-    return counts;
-}
-
 #ifdef BFGTS_SIG_X86
 
 // ---------------------------------------------------------------------
@@ -314,12 +259,6 @@ const SignatureOps kScalarOps = {
     scalarUnionCounts,
 };
 
-const SignatureOps kFusedOps = {
-    "simd-fused",   fusedPopcountWords, scalarOrWords,
-    scalarAndWords, scalarAndAny,       fusedAndPopcount,
-    fusedUnionCounts,
-};
-
 #ifdef BFGTS_SIG_X86
 const SignatureOps kAvx2Ops = {
     "simd-avx2",  avx2PopcountWords, avx2OrWords, avx2AndWords,
@@ -334,7 +273,8 @@ pickSimdOps()
     if (hostHasAvx2())
         return kAvx2Ops;
 #endif
-    return kFusedOps;
+    // No vector tier on this host: the simd table is the oracle.
+    return kScalarOps;
 }
 
 SigImpl

@@ -13,11 +13,12 @@
  *    differential oracle. One word at a time, temporaries materialized
  *    exactly where the seed materialized them (union/intersection
  *    buffers, separate popcount passes).
- *  - simd:   fused single-pass kernels with no temporaries, dispatched
- *    at startup to AVX2+POPCNT code when the host supports it (the
+ *  - simd:   fused single-pass AVX2+POPCNT kernels with no
+ *    temporaries, selected at startup when the host supports them (the
  *    per-part bit vectors of a partitioned signature are plain word
  *    ranges, so every part is probed in the same vector pass --
- *    mirroring the parallel-probe layout of hardware signatures).
+ *    mirroring the parallel-probe layout of hardware signatures). On
+ *    hosts without AVX2 the simd table is the scalar table.
  *
  * Both implementations compute bit-identical results: the estimators
  * consume integer popcounts, and identical integers flow through
@@ -77,7 +78,7 @@ struct SignatureOps {
 /** The seed's word-at-a-time kernels (the differential oracle). */
 const SignatureOps &scalarSignatureOps();
 
-/** Fused kernels, AVX2+POPCNT when the host supports them. */
+/** AVX2+POPCNT kernels when the host supports them, else scalar. */
 const SignatureOps &simdSignatureOps();
 
 /** The kernels selected by BFGTS_SIG_IMPL / setSignatureImpl(). */

@@ -8,7 +8,7 @@
  * unconditionally but opt-in at runtime (`--audit` on the CLI or
  * BFGTS_AUDIT=1 in the environment); when disabled every hook site
  * reduces to one branch, so the default simulation path stays within
- * the overhead gate enforced by bench/micro_audit_overhead.cpp.
+ * the overhead gate enforced by bench/micro_observer_overhead.cpp.
  *
  * Checks are purely observational: they read simulator state, never
  * mutate it, never draw from an RNG and add no simulated cost, so a
@@ -90,7 +90,7 @@ class AuditEngine
 
     /**
      * Dry-run mode: hook sites dispatch into the engine but checker
-     * bodies are skipped. Used only by micro_audit_overhead to price
+     * bodies are skipped. Used only by micro_observer_overhead to price
      * the hook dispatch itself.
      */
     void setDryRun(bool dry_run) { dryRun_ = dry_run; }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential harness: the scalar signature kernels are the oracle
- * for the fast (fused / AVX2) kernels, at three levels.
+ * for the fast (AVX2) kernels, at three levels.
  *
  *  1. Op level: randomized word-range sequences through both
  *     SignatureOps tables must produce exactly equal integers, bits

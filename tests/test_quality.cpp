@@ -25,6 +25,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "runner/experiment.h"
 #include "runner/results.h"
 #include "runner/sweep.h"
@@ -507,8 +509,14 @@ class QualitySweepCacheTest : public ::testing::Test
     void
     SetUp() override
     {
-        cacheDir_ = std::filesystem::temp_directory_path()
-                  / "bfgts_quality_cache_test";
+        // Per test and per process: ctest -j runs each test as its
+        // own concurrent process, and a shared name would let one
+        // test's SetUp/TearDown wipe another's cache.
+        const ::testing::TestInfo *test =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        cacheDir_ = std::filesystem::path(::testing::TempDir())
+                  / (std::string(test->test_suite_name()) + "."
+                     + test->name() + "." + std::to_string(::getpid()));
         std::filesystem::remove_all(cacheDir_);
     }
 
