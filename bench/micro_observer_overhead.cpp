@@ -31,11 +31,14 @@
  *   micro_observer_overhead [LEG...] [--tol T] [--json [FILE]]
  *
  * With no LEG, every leg runs. Methodology: after one warm-up, the
- * off and on configurations alternate rep by rep and the minimum wall
- * time of each is compared, which discards scheduler noise instead of
- * averaging it in. The noise floor printed beside each overhead is
- * the same statistic taken off-vs-off (the minima of the even and the
- * odd off reps): information only, it does not enter the verdict.
+ * off and on configurations alternate rep by rep. The overhead is the
+ * median of the per-rep on/off ratios: each ratio compares two runs
+ * made back to back, so it cancels drift in host speed, and the
+ * median discards single-run scheduler noise instead of averaging it
+ * in. The off and on times printed are the minima over all reps. The
+ * noise floor printed beside each overhead is the spread of the
+ * minima of the even and the odd off reps: information only, it does
+ * not enter the verdict.
  */
 
 #include <algorithm>
@@ -57,10 +60,12 @@
 
 namespace {
 
-/** Best-of-reps wall times of one leg, and its off-vs-off spread. */
+/** One leg's timings: best-of-reps wall times, the paired overhead
+ *  and the off-vs-off spread. */
 struct Timing {
     double off = 0.0;
     double on = 0.0;
+    double overhead = 0.0;
     double noise = 0.0;
 };
 
@@ -80,19 +85,27 @@ measure(const runner::SimConfig &off, const std::function<double()> &runOn)
 {
     // Warm-up run (page in code and workload data), then alternate.
     timeRun(off);
-    // The fast sim core (SIMD signatures + flat tables) cut the
-    // quick-mode rep to ~10ms, so min-of-3 no longer converges under
-    // scheduler jitter; more reps keep the min a faithful floor.
-    const int reps = bench::quickMode() ? 9 : 5;
+    // A quick-mode rep is ~50ms, and a shared host drifts in speed by
+    // more than the tolerance within one process: the fastest off rep
+    // and the fastest on rep can come from different speed phases. So
+    // the overhead is the median of per-rep on/off ratios, each pair
+    // run back to back on the same machine state.
+    const int reps = bench::quickMode() ? 21 : 5;
     double min_off[2] = {1e30, 1e30};
     double min_on = 1e30;
+    std::vector<double> ratios;
     for (int rep = 0; rep < reps; ++rep) {
-        min_off[rep % 2] = std::min(min_off[rep % 2], timeRun(off));
-        min_on = std::min(min_on, runOn());
+        const double t_off = timeRun(off);
+        const double t_on = runOn();
+        ratios.push_back(t_on / t_off);
+        min_off[rep % 2] = std::min(min_off[rep % 2], t_off);
+        min_on = std::min(min_on, t_on);
     }
+    std::sort(ratios.begin(), ratios.end());
     Timing timing;
     timing.off = std::min(min_off[0], min_off[1]);
     timing.on = min_on;
+    timing.overhead = ratios[ratios.size() / 2] - 1.0;
     timing.noise = std::max(min_off[0], min_off[1]) / timing.off - 1.0;
     return timing;
 }
@@ -285,7 +298,7 @@ main(int argc, char **argv)
             ok = false;
             continue;
         }
-        const double overhead = timing.on / timing.off - 1.0;
+        const double overhead = timing.overhead;
         std::printf("  observer off     %8.1f ms\n", timing.off * 1e3);
         std::printf("  %-16s %8.1f ms\n", leg->onLabel, timing.on * 1e3);
         std::printf("  overhead         %+7.2f%%  (noise floor %.2f%%, "
