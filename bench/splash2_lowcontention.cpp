@@ -9,33 +9,12 @@
 
 #include "bench_util.h"
 
-#include "runner/simulation.h"
 #include "workloads/splash2.h"
-
-namespace {
-
-runner::SimResults
-run(const std::string &name, cm::CmKind kind, int cpus, int tpc,
-    int tx_override)
-{
-    runner::SimConfig config;
-    config.cm = kind;
-    config.numCpus = cpus;
-    config.threadsPerCpu = tpc;
-    config.txPerThreadOverride = tx_override;
-    config.workloadFactory = [name](int threads) {
-        return workloads::makeSplash2Workload(name, threads);
-    };
-    runner::Simulation simulation(config);
-    return simulation.run();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    const int tx_override = bench::quickMode() ? 20 : 0;
+    const runner::RunOptions options = bench::defaultOptions();
     std::vector<std::string> headers{"Benchmark"};
     for (cm::CmKind kind : cm::allCmKinds())
         headers.emplace_back(cm::cmKindName(kind));
@@ -48,21 +27,13 @@ main(int argc, char **argv)
 
     for (const std::string &name :
          workloads::splash2BenchmarkNames()) {
-        // Single-core baseline with the same total work.
-        const auto base_tx =
-            (tx_override
-                 ? tx_override
-                 : workloads::makeSplash2Workload(name, 1)
-                       ->txPerThread())
-            * 64;
-        const runner::SimResults baseline =
-            run(name, cm::CmKind::Backoff, 1, 1, base_tx);
-        const double base = static_cast<double>(baseline.runtime);
+        const double base = static_cast<double>(
+            runner::runSingleCoreBaseline(name, options).runtime);
         std::vector<std::string> row{name};
         double backoff_cont = 0.0;
         for (cm::CmKind kind : cm::allCmKinds()) {
             const runner::SimResults r =
-                run(name, kind, 16, 4, tx_override);
+                runner::runStamp(name, kind, options);
             if (kind == cm::CmKind::Backoff)
                 backoff_cont = r.contentionRate;
             const double speedup =

@@ -11,38 +11,22 @@
  */
 
 #include <cstdio>
-#include <memory>
 
-#include "runner/simulation.h"
-#include "workloads/structures.h"
+#include "runner/experiment.h"
 
 namespace {
 
-template <typename WorkloadT>
-runner::SimResults
-run(cm::CmKind kind, int tx_per_thread)
-{
-    runner::SimConfig config;
-    config.cm = kind;
-    config.txPerThreadOverride = tx_per_thread;
-    config.workloadFactory =
-        [](int threads) -> std::unique_ptr<workloads::Workload> {
-        return std::make_unique<WorkloadT>(
-            typename WorkloadT::Config{}, threads);
-    };
-    runner::Simulation simulation(config);
-    return simulation.run();
-}
-
-template <typename WorkloadT>
 void
-compare(const char *title)
+compare(const char *workload, const char *title)
 {
+    runner::RunOptions options;
+    options.txPerThread = 40;
     std::printf("%s\n", title);
     for (cm::CmKind kind :
          {cm::CmKind::Backoff, cm::CmKind::Ats,
           cm::CmKind::BfgtsHw}) {
-        const runner::SimResults r = run<WorkloadT>(kind, 40);
+        const runner::SimResults r =
+            runner::runStamp(workload, kind, options);
         std::printf("  %-10s runtime %8llu  contention %5.1f%%  "
                     "serializations %llu  similarity",
                     r.cm.c_str(),
@@ -64,11 +48,10 @@ main()
 {
     std::printf("Section 3.1, live: persistent vs transient "
                 "conflicts\n\n");
-    compare<workloads::FifoQueueWorkload>(
-        "FIFO queue (every op touches the same head/tail lines):");
-    compare<workloads::HashMapWorkload>(
-        "Hash map (random bucket collisions):");
-    compare<workloads::CounterArrayWorkload>(
-        "Zipf counter array (hot head, parallel tail):");
+    compare("FifoQueue",
+            "FIFO queue (every op touches the same head/tail lines):");
+    compare("HashMap", "Hash map (random bucket collisions):");
+    compare("CounterArray",
+            "Zipf counter array (hot head, parallel tail):");
     return 0;
 }

@@ -46,10 +46,11 @@ using ManagerFactory =
 
 /** Everything needed to run one simulation. */
 struct SimConfig {
-    /** STAMP benchmark name; ignored if workloadFactory is set. */
+    /** Name in the workload catalogue (workloads/catalogue.h): any
+     *  suite. Ignored if workloadFactory is set. */
     std::string workload = "Intruder";
 
-    /** Optional custom workload (examples/ uses this). */
+    /** Optional custom workload or parameters (examples/ uses this). */
     WorkloadFactory workloadFactory;
 
     /** Contention manager under test. */

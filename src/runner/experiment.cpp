@@ -1,7 +1,7 @@
 #include "experiment.h"
 
 #include "sim/logging.h"
-#include "workloads/stamp.h"
+#include "workloads/catalogue.h"
 
 namespace runner {
 
@@ -53,7 +53,7 @@ runSingleCoreBaseline(const std::string &workload,
     const int per_thread =
         options.txPerThread > 0
             ? options.txPerThread
-            : workloads::makeStampWorkload(workload, 1)->txPerThread();
+            : workloads::makeWorkload(workload, 1)->txPerThread();
     single.txPerThread =
         per_thread * options.numCpus * options.threadsPerCpu;
     return runStamp(workload, cm::CmKind::Backoff, single, profiler,

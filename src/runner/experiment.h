@@ -4,7 +4,7 @@
  *
  * The paper's headline metric is speedup over a single core
  * (Fig. 4a): the same total work run on one CPU with one thread
- * under the plain Backoff manager. runStamp() runs one (benchmark,
+ * under the plain Backoff manager. runStamp() runs one (workload,
  * contention manager) cell of the evaluation matrix;
  * runSingleCoreBaseline() produces the denominator. BaselineCache
  * memoizes baselines across a sweep.
@@ -47,7 +47,8 @@ SimConfig makeConfig(const std::string &workload, cm::CmKind kind,
                      const RunOptions &options = {});
 
 /**
- * Run one (benchmark, manager) cell.
+ * Run one (workload, manager) cell; @p workload is any name in the
+ * workload catalogue (workloads/catalogue.h), whatever its suite.
  *
  * @p profiler optionally attaches the host-performance profiler to
  * the run (SimConfig::profiler); @p quality optionally attaches the
@@ -64,7 +65,7 @@ SimResults runStamp(const std::string &workload, cm::CmKind kind,
 /**
  * Run the single-core baseline: one CPU, one thread, Backoff, the
  * same total transaction count as the parallel configuration in
- * @p options.
+ * @p options. Every speedup denominator comes from here.
  */
 SimResults runSingleCoreBaseline(const std::string &workload,
                                  const RunOptions &options = {},

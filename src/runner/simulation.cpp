@@ -10,7 +10,7 @@
 #include "sim/profiler.h"
 #include "sim/quality.h"
 #include "sim/sampler.h"
-#include "workloads/stamp.h"
+#include "workloads/catalogue.h"
 
 namespace runner {
 
@@ -21,12 +21,10 @@ Simulation::Simulation(const SimConfig &config)
     sim_assert(config_.threadsPerCpu >= 1);
     const int num_threads = config_.numThreads();
 
-    if (config_.workloadFactory) {
-        workload_ = config_.workloadFactory(num_threads);
-    } else {
-        workload_ = workloads::makeStampWorkload(config_.workload,
-                                                 num_threads);
-    }
+    workload_ = config_.workloadFactory
+                  ? config_.workloadFactory(num_threads)
+                  : workloads::makeWorkload(config_.workload,
+                                            num_threads);
     sim_assert(workload_ != nullptr);
 
     ids_ = std::make_unique<htm::TxIdSpace>(workload_->numStaticTx(),

@@ -303,23 +303,49 @@ labyrinthParams()
     return params;
 }
 
-SyntheticParams
-paramsFor(const std::string &name)
+/** One benchmark: its generator and its paper calibration targets. */
+struct StampBenchmark {
+    const char *name;
+    SyntheticParams (*params)();
+    StampTargets targets;
+};
+
+/** The suite in the paper's order: similarity per site (Table 1),
+ *  conflict edges (Table 1), Backoff contention (Table 4). */
+const std::vector<StampBenchmark> &
+stampSuite()
 {
-    if (name == "Delaunay")
-        return delaunayParams();
-    if (name == "Genome")
-        return genomeParams();
-    if (name == "Kmeans")
-        return kmeansParams();
-    if (name == "Vacation")
-        return vacationParams();
-    if (name == "Intruder")
-        return intruderParams();
-    if (name == "Ssca2")
-        return ssca2Params();
-    if (name == "Labyrinth")
-        return labyrinthParams();
+    static const std::vector<StampBenchmark> suite = {
+        {"Delaunay", delaunayParams,
+         {{0.64, 0.04, 0.56, 0.90},
+          {{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {1, 3}, {2, 2},
+           {2, 3}, {3, 3}},
+          0.735}},
+        {"Genome", genomeParams,
+         {{0.12, 0.25, 0.65, 0.74, 0.29},
+          {{0, 0}, {2, 2}, {2, 3}, {4, 4}},
+          0.611}},
+        {"Kmeans", kmeansParams,
+         {{0.38, 0.67, 0.68}, {{0, 0}, {1, 1}, {1, 2}}, 0.205}},
+        {"Vacation", vacationParams, {{0.26}, {{0, 0}}, 0.102}},
+        {"Intruder", intruderParams,
+         {{0.67, 0.40, 0.66}, {{0, 0}, {1, 1}, {1, 2}, {2, 2}}, 0.704}},
+        {"Ssca2", ssca2Params,
+         {{0.90, 0.90, 0.57}, {{0, 0}, {2, 2}}, 0.001}},
+        {"Labyrinth", labyrinthParams,
+         {{0.86, 0.45, 0.90}, {{0, 0}, {1, 2}, {2, 2}}, 0.202}},
+    };
+    return suite;
+}
+
+/** The benchmark named @p name (fatal on unknown names). */
+const StampBenchmark &
+stampBenchmark(const std::string &name)
+{
+    for (const StampBenchmark &benchmark : stampSuite()) {
+        if (benchmark.name == name)
+            return benchmark;
+    }
     sim_fatal("unknown STAMP benchmark '%s'", name.c_str());
 }
 
@@ -328,55 +354,23 @@ paramsFor(const std::string &name)
 std::vector<std::string>
 stampBenchmarkNames()
 {
-    return {"Delaunay", "Genome",  "Kmeans",   "Vacation",
-            "Intruder", "Ssca2",   "Labyrinth"};
+    std::vector<std::string> names;
+    for (const StampBenchmark &benchmark : stampSuite())
+        names.emplace_back(benchmark.name);
+    return names;
 }
 
 std::unique_ptr<SyntheticWorkload>
 makeStampWorkload(const std::string &name, int num_threads)
 {
-    return std::make_unique<SyntheticWorkload>(paramsFor(name),
-                                               num_threads);
+    return std::make_unique<SyntheticWorkload>(
+        stampBenchmark(name).params(), num_threads);
 }
 
 StampTargets
 stampTargets(const std::string &name)
 {
-    StampTargets targets;
-    if (name == "Delaunay") {
-        targets.similarity = {0.64, 0.04, 0.56, 0.90};
-        targets.conflictEdges = {{0, 0}, {0, 1}, {0, 2}, {1, 1},
-                                 {1, 2}, {1, 3}, {2, 2}, {2, 3},
-                                 {3, 3}};
-        targets.backoffContention = 0.735;
-    } else if (name == "Genome") {
-        targets.similarity = {0.12, 0.25, 0.65, 0.74, 0.29};
-        targets.conflictEdges = {{0, 0}, {2, 2}, {2, 3}, {4, 4}};
-        targets.backoffContention = 0.611;
-    } else if (name == "Kmeans") {
-        targets.similarity = {0.38, 0.67, 0.68};
-        targets.conflictEdges = {{0, 0}, {1, 1}, {1, 2}};
-        targets.backoffContention = 0.205;
-    } else if (name == "Vacation") {
-        targets.similarity = {0.26};
-        targets.conflictEdges = {{0, 0}};
-        targets.backoffContention = 0.102;
-    } else if (name == "Intruder") {
-        targets.similarity = {0.67, 0.40, 0.66};
-        targets.conflictEdges = {{0, 0}, {1, 1}, {1, 2}, {2, 2}};
-        targets.backoffContention = 0.704;
-    } else if (name == "Ssca2") {
-        targets.similarity = {0.90, 0.90, 0.57};
-        targets.conflictEdges = {{0, 0}, {2, 2}};
-        targets.backoffContention = 0.001;
-    } else if (name == "Labyrinth") {
-        targets.similarity = {0.86, 0.45, 0.90};
-        targets.conflictEdges = {{0, 0}, {1, 2}, {2, 2}};
-        targets.backoffContention = 0.202;
-    } else {
-        sim_fatal("unknown STAMP benchmark '%s'", name.c_str());
-    }
-    return targets;
+    return stampBenchmark(name).targets;
 }
 
 } // namespace workloads

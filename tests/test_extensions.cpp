@@ -2,10 +2,14 @@
  * @file
  * Tests for the extension features: partitioned Bloom filters,
  * BFGTS confidence-table aliasing (the paper's future work),
- * dynamic ATS threshold tuning, and the SPLASH2-like workloads.
+ * dynamic ATS threshold tuning, the SPLASH2-like workloads and the
+ * workload catalogue.
  */
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
 
 #include "bloom/estimate.h"
 #include "cm/ats.h"
@@ -14,7 +18,9 @@
 #include "runner/experiment.h"
 #include "runner/simulation.h"
 #include "sim/random.h"
+#include "workloads/catalogue.h"
 #include "workloads/splash2.h"
+#include "workloads/stamp.h"
 
 namespace {
 
@@ -181,15 +187,35 @@ TEST(DynamicAts, FixedThresholdStaysPut)
 
 // ---- SPLASH2-like workloads ----------------------------------------------
 
-TEST(Splash2, ThreeBenchmarksBuild)
+TEST(WorkloadCatalogue, EveryEntryBuildsUnderItsName)
 {
-    const auto names = workloads::splash2BenchmarkNames();
-    ASSERT_EQ(names.size(), 3u);
-    for (const std::string &name : names) {
-        auto workload = workloads::makeSplash2Workload(name, 64);
-        ASSERT_NE(workload, nullptr);
-        EXPECT_EQ(workload->name(), name);
+    const auto &table = workloads::workloadCatalogue();
+    ASSERT_EQ(table.size(), 13u);
+    std::set<std::string> names;
+    for (const workloads::CatalogueEntry &entry : table) {
+        EXPECT_TRUE(names.insert(entry.name).second)
+            << "duplicate " << entry.name;
+        EXPECT_EQ(workloads::findWorkload(entry.name), &entry);
+        auto workload = entry.make(64);
+        ASSERT_NE(workload, nullptr) << entry.name;
+        EXPECT_EQ(workload->name(), entry.name);
+        EXPECT_EQ(workloads::makeWorkload(entry.name, 4)->name(),
+                  entry.name);
     }
+    // Every suite list the benches loop over resolves in the table.
+    for (const std::string &name : workloads::stampBenchmarkNames())
+        EXPECT_EQ(workloads::findWorkload(name)->suite, "STAMP");
+    for (const std::string &name : workloads::splash2BenchmarkNames())
+        EXPECT_EQ(workloads::findWorkload(name)->suite, "SPLASH2");
+    for (const char *name : {"HashMap", "FifoQueue", "CounterArray"})
+        EXPECT_EQ(workloads::findWorkload(name)->suite, "structure");
+    EXPECT_EQ(workloads::findWorkload("Fmm"), nullptr);
+}
+
+TEST(WorkloadCatalogueDeath, UnknownNameIsFatal)
+{
+    EXPECT_DEATH((void)workloads::makeWorkload("Bayes", 4),
+                 "unknown workload 'Bayes'");
 }
 
 TEST(Splash2Death, UnknownNameIsFatal)
@@ -203,9 +229,7 @@ TEST(Splash2, LowContentionByConstruction)
     runner::SimConfig config;
     config.cm = cm::CmKind::Backoff;
     config.txPerThreadOverride = 20;
-    config.workloadFactory = [](int threads) {
-        return workloads::makeSplash2Workload("Barnes", threads);
-    };
+    config.workload = "Barnes";
     runner::Simulation simulation(config);
     const runner::SimResults r = simulation.run();
     EXPECT_LT(r.contentionRate, 0.02);
@@ -219,9 +243,7 @@ TEST(Splash2, NearLinearScalingForEveryManager)
         runner::SimConfig parallel;
         parallel.cm = kind;
         parallel.txPerThreadOverride = 10;
-        parallel.workloadFactory = [](int threads) {
-            return workloads::makeSplash2Workload("Ocean", threads);
-        };
+        parallel.workload = "Ocean";
         runner::Simulation parallel_sim(parallel);
         const runner::SimResults p = parallel_sim.run();
 

@@ -21,6 +21,7 @@
 #include "runner/farm.h"
 #include "runner/sweep.h"
 #include "sim/host_clock.h"
+#include "temp_dir.h"
 
 namespace {
 
@@ -45,16 +46,6 @@ smallCells()
         }
     }
     return cells;
-}
-
-/** Fresh scratch directory under the test tmpdir. */
-std::string
-scratchDir(const std::string &name)
-{
-    const std::string dir = ::testing::TempDir() + "/" + name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
 }
 
 /** The direct single-process report of @p cells. */
@@ -164,7 +155,7 @@ TEST(FarmShard, MatrixDigestIsStableAndSensitive)
 TEST(FarmStatic, ShardsMergeByteIdenticalToDirectSweep)
 {
     const auto cells = smallCells();
-    const std::string dir = scratchDir("farm_static");
+    const std::string dir = testutil::freshTempDir();
     const std::string direct = directReport(cells, dir + "/cache");
 
     std::vector<std::string> paths;
@@ -199,7 +190,7 @@ TEST(FarmStatic, ShardsMergeByteIdenticalToDirectSweep)
 TEST(FarmSteal, ConcurrentWorkersDrainQueueAndMergeByteIdentical)
 {
     const auto cells = smallCells();
-    const std::string dir = scratchDir("farm_steal");
+    const std::string dir = testutil::freshTempDir();
     const std::string direct = directReport(cells, dir + "/cache");
 
     // Two workers race the same queue in one process (O_EXCL claims
@@ -236,7 +227,7 @@ TEST(FarmSteal, ConcurrentWorkersDrainQueueAndMergeByteIdentical)
 TEST(FarmSteal, FreshLeaseIsRespectedAndStaleLeaseReclaimed)
 {
     const auto cells = smallCells();
-    const std::string dir = scratchDir("farm_lease");
+    const std::string dir = testutil::freshTempDir();
     const std::string queue = dir + "/queue";
     std::filesystem::create_directories(queue);
 
@@ -283,7 +274,7 @@ TEST(FarmSteal, FreshLeaseIsRespectedAndStaleLeaseReclaimed)
 TEST(FarmSteal, QueueManifestRejectsForeignMatrix)
 {
     const auto cells = smallCells();
-    const std::string dir = scratchDir("farm_manifest");
+    const std::string dir = testutil::freshTempDir();
     runner::FarmOptions options;
     options.sweep.cacheDir = dir + "/cache";
     options.stealDir = dir + "/queue";
@@ -307,7 +298,7 @@ TEST(FarmResume, KilledShardReExecutesOnlyMissingCells)
     // tools/farm_check.py; here the "partial crash" is simulated by
     // deleting cache entries.)
     const auto cells = smallCells();
-    const std::string dir = scratchDir("farm_resume");
+    const std::string dir = testutil::freshTempDir();
     runner::FarmOptions options;
     options.sweep.jobs = 2;
     options.sweep.cacheDir = dir + "/cache";
@@ -341,7 +332,7 @@ TEST(FarmResume, KilledShardReExecutesOnlyMissingCells)
 TEST(FarmMerge, RejectsInconsistentPartials)
 {
     const auto cells = smallCells();
-    const std::string dir = scratchDir("farm_reject");
+    const std::string dir = testutil::freshTempDir();
     const std::string cache = dir + "/cache";
 
     const auto shard_options = [&](int index, int count) {

@@ -26,6 +26,7 @@
 #include "runner/simulation.h"
 #include "runner/sweep.h"
 #include "sim/random.h"
+#include "temp_dir.h"
 #include "workloads/generator.h"
 #include "workloads/splash2.h"
 #include "workloads/stamp.h"
@@ -251,9 +252,7 @@ TEST(SweepFuzz, RandomMatrixMatchesDirectRunsAndWarmCache)
         expected.push_back(digest(
             runner::runStamp(cell.workload, cell.cm, cell.options)));
 
-    const std::string cache_dir =
-        ::testing::TempDir() + "/sweep_fuzz_cache";
-    std::filesystem::remove_all(cache_dir);
+    const std::string cache_dir = testutil::freshTempDir();
     runner::SweepOptions options;
     options.jobs = 4;
     options.cacheDir = cache_dir;
@@ -302,10 +301,7 @@ TEST(FarmFuzz, MergedShardRunsMatchDirectSweepForAnyShardCount)
         cells.push_back(cell);
     }
 
-    const std::string base_dir =
-        ::testing::TempDir() + "/farm_fuzz";
-    std::filesystem::remove_all(base_dir);
-    std::filesystem::create_directories(base_dir);
+    const std::string base_dir = testutil::freshTempDir();
     runner::SweepOptions sweep_options;
     sweep_options.jobs = 4;
     sweep_options.cacheDir = base_dir + "/cache";
@@ -361,10 +357,7 @@ TEST(FarmFuzz, SequentialStealWorkersMergeWithEmptyPartials)
         cells.push_back(cell);
     }
 
-    const std::string base_dir =
-        ::testing::TempDir() + "/farm_fuzz_steal";
-    std::filesystem::remove_all(base_dir);
-    std::filesystem::create_directories(base_dir);
+    const std::string base_dir = testutil::freshTempDir();
 
     runner::SweepOptions sweep_options;
     sweep_options.jobs = 8; // one batch swallows the whole queue

@@ -17,11 +17,10 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "runner/experiment.h"
 #include "runner/sweep.h"
 #include "sim/profiler.h"
+#include "temp_dir.h"
 
 namespace {
 
@@ -212,15 +211,7 @@ class ProfilerSweepTest : public ::testing::Test
     void
     SetUp() override
     {
-        // Per test and per process: ctest -j runs each test as its
-        // own concurrent process, and a shared name would let one
-        // test's SetUp/TearDown wipe another's cache.
-        const ::testing::TestInfo *test =
-            ::testing::UnitTest::GetInstance()->current_test_info();
-        cacheDir_ = std::filesystem::path(::testing::TempDir())
-                  / (std::string(test->test_suite_name()) + "."
-                     + test->name() + "." + std::to_string(::getpid()));
-        std::filesystem::remove_all(cacheDir_);
+        cacheDir_ = testutil::freshTempDir();
     }
 
     void TearDown() override { std::filesystem::remove_all(cacheDir_); }

@@ -25,13 +25,12 @@
 #include <utility>
 #include <vector>
 
-#include <unistd.h>
-
 #include "runner/experiment.h"
 #include "runner/results.h"
 #include "runner/sweep.h"
 #include "sim/det_hash.h"
 #include "sim/quality.h"
+#include "temp_dir.h"
 
 namespace {
 
@@ -509,15 +508,7 @@ class QualitySweepCacheTest : public ::testing::Test
     void
     SetUp() override
     {
-        // Per test and per process: ctest -j runs each test as its
-        // own concurrent process, and a shared name would let one
-        // test's SetUp/TearDown wipe another's cache.
-        const ::testing::TestInfo *test =
-            ::testing::UnitTest::GetInstance()->current_test_info();
-        cacheDir_ = std::filesystem::path(::testing::TempDir())
-                  / (std::string(test->test_suite_name()) + "."
-                     + test->name() + "." + std::to_string(::getpid()));
-        std::filesystem::remove_all(cacheDir_);
+        cacheDir_ = testutil::freshTempDir();
     }
 
     void TearDown() override { std::filesystem::remove_all(cacheDir_); }

@@ -7,10 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <unordered_set>
 
-#include "runner/simulation.h"
+#include "runner/experiment.h"
 #include "workloads/structures.h"
 
 namespace {
@@ -137,29 +136,12 @@ TEST(CounterArray, ReadEarlyWriteLate)
 /** Full-run behaviour: the queue serializes, the hash map scales. */
 TEST(Structures, QueueIsSerialHashMapIsParallel)
 {
-    auto simulate = [](auto make, cm::CmKind kind) {
-        runner::SimConfig config;
-        config.cm = kind;
-        config.txPerThreadOverride = 15;
-        config.workloadFactory = [make](int threads) {
-            return make(threads);
-        };
-        runner::Simulation simulation(config);
-        return simulation.run();
-    };
-
-    const auto queue = simulate(
-        [](int threads) -> std::unique_ptr<workloads::Workload> {
-            return std::make_unique<FifoQueueWorkload>(
-                FifoQueueWorkload::Config{}, threads);
-        },
-        cm::CmKind::Backoff);
-    const auto map = simulate(
-        [](int threads) -> std::unique_ptr<workloads::Workload> {
-            return std::make_unique<HashMapWorkload>(
-                HashMapWorkload::Config{}, threads);
-        },
-        cm::CmKind::Backoff);
+    runner::RunOptions options;
+    options.txPerThread = 15;
+    const auto queue =
+        runner::runStamp("FifoQueue", cm::CmKind::Backoff, options);
+    const auto map =
+        runner::runStamp("HashMap", cm::CmKind::Backoff, options);
     EXPECT_EQ(queue.commits, 64u * 15u);
     EXPECT_EQ(map.commits, 64u * 15u);
     // The single shared queue contends far harder than the table.
@@ -168,20 +150,12 @@ TEST(Structures, QueueIsSerialHashMapIsParallel)
 
 TEST(Structures, BfgtsTamesTheQueue)
 {
-    auto simulate = [](cm::CmKind kind) {
-        runner::SimConfig config;
-        config.cm = kind;
-        config.txPerThreadOverride = 25;
-        config.workloadFactory =
-            [](int threads) -> std::unique_ptr<workloads::Workload> {
-            return std::make_unique<FifoQueueWorkload>(
-                FifoQueueWorkload::Config{}, threads);
-        };
-        runner::Simulation simulation(config);
-        return simulation.run();
-    };
-    const auto backoff = simulate(cm::CmKind::Backoff);
-    const auto bfgts = simulate(cm::CmKind::BfgtsHw);
+    runner::RunOptions options;
+    options.txPerThread = 25;
+    const auto backoff =
+        runner::runStamp("FifoQueue", cm::CmKind::Backoff, options);
+    const auto bfgts =
+        runner::runStamp("FifoQueue", cm::CmKind::BfgtsHw, options);
     EXPECT_LT(bfgts.contentionRate, backoff.contentionRate);
 }
 

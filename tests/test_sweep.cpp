@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "runner/sweep.h"
-#include "workloads/stamp.h"
+#include "temp_dir.h"
 
 namespace {
 
@@ -33,12 +33,16 @@ smallOptions()
     return options;
 }
 
-/** A small mixed matrix: baselines plus a (workload, cm) grid. */
+/**
+ * A small mixed matrix: baselines plus a (workload, cm) grid, with a
+ * SPLASH2-like and a data-structure workload beside the STAMP ones.
+ */
 std::vector<runner::SweepCell>
 smallMatrix()
 {
     const std::vector<std::string> names{"Intruder", "Genome",
-                                         "Kmeans"};
+                                         "Kmeans", "Barnes",
+                                         "HashMap"};
     const std::vector<cm::CmKind> managers{
         cm::CmKind::Backoff, cm::CmKind::Pts, cm::CmKind::BfgtsHw};
     std::vector<runner::SweepCell> cells;
@@ -111,9 +115,7 @@ TEST(SweepTest, ParallelReportByteIdenticalToSerial)
 
 TEST(SweepTest, WarmCacheAnswersEverythingWithoutExecuting)
 {
-    const std::string cache_dir =
-        ::testing::TempDir() + "/sweep_cache_warm";
-    std::filesystem::remove_all(cache_dir);
+    const std::string cache_dir = testutil::freshTempDir();
 
     runner::SweepOptions options;
     options.jobs = 2;
@@ -201,6 +203,8 @@ TEST(SweepTest, ProgressLinesCoverEveryCell)
     EXPECT_EQ(lines, cells.size());
     EXPECT_NE(text.find("Intruder/baseline"), std::string::npos);
     EXPECT_NE(text.find("Genome/BFGTS-HW"), std::string::npos);
+    EXPECT_NE(text.find("HashMap/baseline"), std::string::npos);
+    EXPECT_NE(text.find("Barnes/PTS"), std::string::npos);
 }
 
 TEST(SweepTest, CellKeyDistinguishesEveryKnob)
@@ -295,9 +299,7 @@ TEST(SweepTest, ResultsRoundTripThroughCacheFormat)
 
 TEST(SweepTest, CacheRacesCountConcurrentWinners)
 {
-    const std::string cache_dir =
-        ::testing::TempDir() + "/sweep_cache_races";
-    std::filesystem::remove_all(cache_dir);
+    const std::string cache_dir = testutil::freshTempDir();
 
     runner::SweepOptions options;
     options.jobs = 2;
@@ -332,9 +334,7 @@ TEST(SweepTest, CacheRacesCountConcurrentWinners)
 
 TEST(SweepTest, CorruptCacheEntryFallsBackToExecution)
 {
-    const std::string cache_dir =
-        ::testing::TempDir() + "/sweep_cache_corrupt";
-    std::filesystem::remove_all(cache_dir);
+    const std::string cache_dir = testutil::freshTempDir();
 
     std::vector<runner::SweepCell> cells;
     runner::SweepCell cell;

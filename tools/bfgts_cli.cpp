@@ -6,10 +6,12 @@
  *
  *   bfgts_cli --workload Intruder --cm BFGTS-HW
  *   bfgts_cli --workload Barnes --cm Backoff --cpus 8 --tpc 2
+ *   bfgts_cli --workload FifoQueue --cm BFGTS-HW --baseline
  *   bfgts_cli --list
  *
  * Options:
- *   --workload NAME   STAMP or SPLASH2-like benchmark (default Intruder)
+ *   --workload NAME   any workload in --list: STAMP, SPLASH2-like or
+ *                     data structure (default Intruder)
  *   --cm NAME         contention manager display name (default BFGTS-HW)
  *   --cpus N          number of CPUs (default 16)
  *   --tpc N           threads per CPU (default 4)
@@ -64,7 +66,8 @@
  *
  *   --sweep           run the (workloads x cms x seeds) matrix instead
  *                     of a single cell; per-cell progress on stderr
- *   --workloads LIST  comma-separated STAMP benchmarks (default: all)
+ *   --workloads LIST  comma-separated built-in workloads, any suite
+ *                     (default: the seven STAMP benchmarks)
  *   --cms LIST        comma-separated manager names (default: the
  *                     paper's evaluation set)
  *   --seeds LIST      comma-separated RNG seeds (default: 1)
@@ -136,35 +139,21 @@
 #include "sim/quality.h"
 #include "sim/sampler.h"
 #include "sim/trace.h"
-#include "workloads/splash2.h"
+#include "workloads/catalogue.h"
 #include "workloads/stamp.h"
 
 namespace {
 
-bool
-isSplash2(const std::string &name)
-{
-    for (const std::string &candidate :
-         workloads::splash2BenchmarkNames()) {
-        if (candidate == name)
-            return true;
-    }
-    return false;
-}
-
+/** Print every catalogue workload with its suite, then the managers. */
 void
 listEverything()
 {
-    std::printf("workloads (STAMP):   ");
-    for (const auto &name : workloads::stampBenchmarkNames())
-        std::printf("%s ", name.c_str());
-    std::printf("\nworkloads (SPLASH2): ");
-    for (const auto &name : workloads::splash2BenchmarkNames())
-        std::printf("%s ", name.c_str());
-    std::printf("\nmanagers:            ");
+    for (const workloads::CatalogueEntry &entry :
+         workloads::workloadCatalogue())
+        std::printf("workload  %-13s %s\n", entry.name.c_str(),
+                    entry.suite.c_str());
     for (cm::CmKind kind : cm::extendedCmKinds())
-        std::printf("'%s' ", cm::cmKindName(kind));
-    std::printf("\n");
+        std::printf("manager   '%s'\n", cm::cmKindName(kind));
 }
 
 [[noreturn]] void
@@ -192,6 +181,34 @@ usage(const char *argv0)
                  "          %s --merge-reports PARTIAL... --json FILE\n",
                  argv0, argv0, argv0, argv0);
     std::exit(1);
+}
+
+/** Open @p path into @p file; false, with a message, on failure. */
+bool
+openOutput(std::ofstream &file, const std::string &path)
+{
+    file.open(path);
+    if (!file)
+        std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return file.is_open();
+}
+
+/**
+ * Write the file at @p path through @p write, unless @p path is
+ * empty (the output was not asked for). False when it cannot be
+ * opened.
+ */
+template <typename WriteFn>
+bool
+writeOutput(const std::string &path, WriteFn &&write)
+{
+    if (path.empty())
+        return true;
+    std::ofstream file;
+    if (!openOutput(file, path))
+        return false;
+    write(file);
+    return true;
 }
 
 /** Split "a,b,c" into its non-empty comma-separated pieces. */
@@ -380,12 +397,8 @@ runSweep(const std::vector<std::string> &workload_names,
     if (workload_list.empty())
         workload_list = workloads::stampBenchmarkNames();
     for (const std::string &name : workload_list) {
-        const auto known = workloads::stampBenchmarkNames();
-        if (std::find(known.begin(), known.end(), name)
-            == known.end()) {
-            std::fprintf(stderr,
-                         "unknown sweep workload '%s' (sweep mode "
-                         "runs STAMP benchmarks)\n",
+        if (workloads::findWorkload(name) == nullptr) {
+            std::fprintf(stderr, "unknown workload '%s'\n",
                          name.c_str());
             usage(argv0);
         }
@@ -474,15 +487,10 @@ runSweep(const std::vector<std::string> &workload_names,
                          farm.claimed().size(), cells.size(),
                          farm_cli.stealDir.c_str());
         }
-        if (!json_path.empty()) {
-            std::ofstream json_file(json_path);
-            if (!json_file) {
-                std::fprintf(stderr, "cannot open %s\n",
-                             json_path.c_str());
-                return 1;
-            }
-            farm.writeReport(json_file, "cli-sweep");
-        }
+        if (!writeOutput(json_path, [&](std::ostream &os) {
+                farm.writeReport(os, "cli-sweep");
+            }))
+            return 1;
         return stats.errors == 0 ? 0 : 1;
     }
 
@@ -496,33 +504,20 @@ runSweep(const std::vector<std::string> &workload_names,
                  cells.size(), stats.executed, stats.cacheHits,
                  stats.errors);
 
-    if (!json_path.empty()) {
-        std::ofstream json_file(json_path);
-        if (!json_file) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        sweep.writeReport(json_file, "cli-sweep");
-    }
-    if (!profile_path.empty()) {
-        std::ofstream profile_file(profile_path);
-        if (!profile_file) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         profile_path.c_str());
-            return 1;
-        }
-        sweep.writeProfileReport(profile_file, "cli-sweep");
-    }
-    if (!quality_path.empty()) {
-        std::ofstream quality_file(quality_path);
-        if (!quality_file) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         quality_path.c_str());
-            return 1;
-        }
-        sweep.writeQualityReport(quality_file, "cli-sweep");
-    }
+    const bool written =
+        writeOutput(json_path,
+                    [&](std::ostream &os) {
+                        sweep.writeReport(os, "cli-sweep");
+                    })
+        && writeOutput(profile_path,
+                       [&](std::ostream &os) {
+                           sweep.writeProfileReport(os, "cli-sweep");
+                       })
+        && writeOutput(quality_path, [&](std::ostream &os) {
+               sweep.writeQualityReport(os, "cli-sweep");
+           });
+    if (!written)
+        return 1;
     return stats.errors == 0 ? 0 : 1;
 }
 
@@ -595,7 +590,7 @@ main(int argc, char **argv)
 {
     std::string workload = "Intruder";
     std::string manager = "BFGTS-HW";
-    runner::SimConfig config;
+    runner::RunOptions options;
     bool with_baseline = false;
     bool with_stats = false;
     std::string json_path;
@@ -640,22 +635,22 @@ main(int argc, char **argv)
         } else if (arg == "--cm") {
             manager = next();
         } else if (arg == "--cpus") {
-            config.numCpus = std::atoi(next());
+            options.numCpus = std::atoi(next());
         } else if (arg == "--tpc") {
-            config.threadsPerCpu = std::atoi(next());
+            options.threadsPerCpu = std::atoi(next());
         } else if (arg == "--tx") {
-            config.txPerThreadOverride = std::atoi(next());
+            options.txPerThread = std::atoi(next());
         } else if (arg == "--seed") {
-            config.seed = std::strtoull(next(), nullptr, 10);
+            options.seed = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--bloom-bits") {
-            config.tuning.bfgts.bloom.numBits =
+            options.tuning.bfgts.bloom.numBits =
                 std::strtoull(next(), nullptr, 10);
         } else if (arg == "--interval") {
-            config.tuning.bfgts.smallTxInterval = std::atoi(next());
+            options.tuning.bfgts.smallTxInterval = std::atoi(next());
         } else if (arg == "--slots") {
-            config.tuning.bfgts.confTableSlots = std::atoi(next());
+            options.tuning.bfgts.confTableSlots = std::atoi(next());
         } else if (arg == "--audit") {
-            config.audit = true;
+            options.audit = true;
         } else if (arg == "--baseline") {
             with_baseline = true;
         } else if (arg == "--stats") {
@@ -742,13 +737,10 @@ main(int argc, char **argv)
             std::fprintf(stderr, "%s\n", error.c_str());
             return 1;
         }
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         json_path.c_str());
+        if (!writeOutput(json_path, [&](std::ostream &os) {
+                os << merged.str();
+            }))
             return 1;
-        }
-        out << merged.str();
         std::fprintf(stderr,
                      "merge-reports: %zu partial reports -> %s\n",
                      merge_inputs.size(), json_path.c_str());
@@ -769,39 +761,23 @@ main(int argc, char **argv)
     }
 
     if (sweep_mode) {
-        runner::RunOptions base;
-        base.numCpus = config.numCpus;
-        base.threadsPerCpu = config.threadsPerCpu;
-        base.seed = config.seed;
-        base.txPerThread = config.txPerThreadOverride;
-        base.tuning = config.tuning;
-        base.audit = config.audit;
-        return runSweep(sweep_workloads, sweep_cms, sweep_seeds, base,
-                        sweep_baselines, sweep_jobs, sweep_cache,
-                        json_path, profile_path, quality_path,
-                        farm_cli, argv[0]);
+        return runSweep(sweep_workloads, sweep_cms, sweep_seeds,
+                        options, sweep_baselines, sweep_jobs,
+                        sweep_cache, json_path, profile_path,
+                        quality_path, farm_cli, argv[0]);
     }
 
-    config.cm = cm::cmKindFromName(manager);
-    if (isSplash2(workload)) {
-        config.workloadFactory = [workload](int threads) {
-            return workloads::makeSplash2Workload(workload, threads);
-        };
-    } else {
-        config.workload = workload; // validated by the factory
-    }
+    // The workload name is validated by the catalogue lookup.
+    runner::SimConfig config = runner::makeConfig(
+        workload, cm::cmKindFromName(manager), options);
 
     std::ofstream trace_file;
     std::unique_ptr<sim::TraceSink> trace_sink;
     if (!trace_path.empty()) {
         std::ostream *trace_os = &std::cerr;
         if (trace_path != "-") {
-            trace_file.open(trace_path);
-            if (!trace_file) {
-                std::fprintf(stderr, "cannot open %s\n",
-                             trace_path.c_str());
+            if (!openOutput(trace_file, trace_path))
                 return 1;
-            }
             trace_os = &trace_file;
         }
         if (trace_jsonl)
@@ -820,12 +796,8 @@ main(int argc, char **argv)
     std::unique_ptr<sim::ChromeTraceSink> chrome_sink;
     sim::FanoutTraceSink fanout;
     if (!chrome_path.empty()) {
-        chrome_file.open(chrome_path);
-        if (!chrome_file) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         chrome_path.c_str());
+        if (!openOutput(chrome_file, chrome_path))
             return 1;
-        }
         chrome_sink =
             std::make_unique<sim::ChromeTraceSink>(chrome_file);
         if (trace_sink != nullptr) {
@@ -844,12 +816,8 @@ main(int argc, char **argv)
         sim::Sampler::Config sampler_config;
         sampler_config.interval = ts_interval;
         if (!ts_path.empty()) {
-            ts_file.open(ts_path);
-            if (!ts_file) {
-                std::fprintf(stderr, "cannot open %s\n",
-                             ts_path.c_str());
+            if (!openOutput(ts_file, ts_path))
                 return 1;
-            }
             sampler_config.jsonl = &ts_file;
         }
         sampler = std::make_unique<sim::Sampler>(sampler_config);
@@ -877,12 +845,8 @@ main(int argc, char **argv)
     if (!quality_path.empty() || !quality_jsonl_path.empty()) {
         config.quality = &quality;
         if (!quality_jsonl_path.empty()) {
-            quality_jsonl_file.open(quality_jsonl_path);
-            if (!quality_jsonl_file) {
-                std::fprintf(stderr, "cannot open %s\n",
-                             quality_jsonl_path.c_str());
+            if (!openOutput(quality_jsonl_file, quality_jsonl_path))
                 return 1;
-            }
             quality.setJsonlSink(&quality_jsonl_file);
         }
     }
@@ -926,65 +890,32 @@ main(int argc, char **argv)
         simulation.dumpStats(std::cout);
     }
 
-    if (!json_path.empty()) {
-        std::ofstream json_file(json_path);
-        if (!json_file) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        const std::string name = r.workload + "-" + r.cm;
-        writeJsonReport(json_file, name, config, r, simulation,
-                        sampler.get());
-    }
-
-    if (!dot_path.empty()) {
-        std::ofstream dot_file(dot_path);
-        if (!dot_file) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         dot_path.c_str());
-            return 1;
-        }
-        writeConflictDot(dot_file, r);
-    }
-
-    if (!profile_path.empty()) {
-        std::ofstream profile_file(profile_path);
-        if (!profile_file) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         profile_path.c_str());
-            return 1;
-        }
-        profiler.writeReport(profile_file, r.workload + "-" + r.cm);
-    }
-
-    if (!quality_path.empty()) {
-        std::ofstream quality_file(quality_path);
-        if (!quality_file) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         quality_path.c_str());
-            return 1;
-        }
-        sim::writeQualReport(quality_file, r.workload + "-" + r.cm,
-                             quality.data());
-    }
+    const std::string name = r.workload + "-" + r.cm;
+    const bool written =
+        writeOutput(json_path,
+                    [&](std::ostream &os) {
+                        writeJsonReport(os, name, config, r, simulation,
+                                        sampler.get());
+                    })
+        && writeOutput(dot_path,
+                       [&](std::ostream &os) {
+                           writeConflictDot(os, r);
+                       })
+        && writeOutput(profile_path,
+                       [&](std::ostream &os) {
+                           profiler.writeReport(os, name);
+                       })
+        && writeOutput(quality_path, [&](std::ostream &os) {
+               sim::writeQualReport(os, name, quality.data());
+           });
+    if (!written)
+        return 1;
 
     if (with_baseline) {
-        runner::SimConfig base_config = config;
-        base_config.numCpus = 1;
-        base_config.threadsPerCpu = 1;
-        base_config.cm = cm::CmKind::Backoff;
-        const int per_thread =
-            config.txPerThreadOverride > 0
-                ? config.txPerThreadOverride
-                : [&] {
-                      runner::Simulation probe(config);
-                      return probe.workload().txPerThread();
-                  }();
-        base_config.txPerThreadOverride =
-            per_thread * config.numThreads();
-        runner::Simulation baseline(base_config);
-        const runner::SimResults base = baseline.run();
+        // Unobserved: the artifacts above describe the parallel run
+        // alone, byte-identical to a run without --baseline.
+        const runner::SimResults base =
+            runner::runSingleCoreBaseline(workload, options);
         std::printf("baseline          %llu cycles -> speedup %.2fx\n",
                     static_cast<unsigned long long>(base.runtime),
                     static_cast<double>(base.runtime)

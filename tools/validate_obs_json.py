@@ -27,7 +27,11 @@ Three modes:
       deterministic artifact (report, trace, time series, DOT, and
       the sweep report) comes out byte-identical with profiling on
       -- the bfgts-prof-v1 documents themselves are only schema- and
-      semantics-checked, being wall-clock data.
+      semantics-checked, being wall-clock data. Further runs add
+      --quality (deterministic across hash seeds) and --baseline
+      (every artifact byte-identical to the run without it); the
+      sweep matrix covers a STAMP, a SPLASH2-like and a
+      data-structure workload.
 
   validate_obs_json.py --bench PATH_TO_BENCH_BINARY
       Run the bench with BFGTS_QUICK=1 and --json and schema-check
@@ -610,6 +614,11 @@ def load(path):
         fail(f"{path}: cannot load ({exc})")
 
 
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def run(cmd, env_extra=None, cwd=None):
     env = dict(os.environ)
     if env_extra:
@@ -622,89 +631,87 @@ def run(cmd, env_extra=None, cwd=None):
              f"{result.stdout.decode(errors='replace')}")
 
 
+# Single-run artifacts: kind -> (CLI flag, file name, checker).
+ARTIFACTS = {
+    "json": ("--json", "run.json", lambda p: check_run(load(p), p)),
+    "trace": ("--trace", "trace.jsonl", check_trace_jsonl),
+    "ts": ("--ts", "ts.jsonl", check_ts_jsonl),
+    "chrome": ("--trace-chrome", "chrome.json", check_chrome_trace),
+    "dot": ("--conflict-dot", "conf.dot", check_conflict_dot),
+    "qual": ("--quality", "qual.json", lambda p: check_qual(load(p), p)),
+    "ledger": ("--quality-jsonl", "qual.jsonl", check_qual_jsonl),
+}
+RUN_KINDS = ("json", "trace", "ts", "chrome", "dot")
+HASH_SEEDS = ("0x0123456789abcdef", "0xfedcba9876543210")
+
+
+def run_artifacts(cli, workdir, tag, kinds, extra=(), seed=HASH_SEEDS[0]):
+    """Run CLI_ARGS writing each artifact in `kinds`, check each one,
+    and return {kind: file bytes}."""
+    cmd = [cli, *CLI_ARGS, *extra]
+    paths = {}
+    for kind in kinds:
+        flag, name, _ = ARTIFACTS[kind]
+        paths[kind] = os.path.join(workdir, f"{tag}-{name}")
+        cmd += [flag, paths[kind]]
+    if "trace" in kinds:
+        cmd.append("--trace-jsonl")
+    run(cmd, env_extra={"BFGTS_HASH_SEED": seed})
+    for kind, path in paths.items():
+        ARTIFACTS[kind][2](path)
+    return {kind: read_bytes(path) for kind, path in paths.items()}
+
+
 def mode_cli(cli, workdir):
-    artifacts = {
-        "json": ("run-{}.json", check_run),
-        "trace": ("run-{}.jsonl", check_trace_jsonl),
-        "ts": ("ts-{}.jsonl", check_ts_jsonl),
-        "chrome": ("chrome-{}.json", check_chrome_trace),
-        "dot": ("conf-{}.dot", check_conflict_dot),
-    }
-    outputs = []
-    for seed in ("0x0123456789abcdef", "0xfedcba9876543210"):
-        paths = {kind: os.path.join(workdir, pattern.format(seed))
-                 for kind, (pattern, _) in artifacts.items()}
-        run([cli, *CLI_ARGS,
-             "--json", paths["json"],
-             "--trace", paths["trace"], "--trace-jsonl",
-             "--ts", paths["ts"],
-             "--trace-chrome", paths["chrome"],
-             "--conflict-dot", paths["dot"]],
-            env_extra={"BFGTS_HASH_SEED": seed})
-        blobs = {}
-        for kind, (_, checker) in artifacts.items():
-            if checker is check_run:
-                checker(load(paths[kind]), paths[kind])
-            else:
-                checker(paths[kind])
-            with open(paths[kind], "rb") as fh:
-                blobs[kind] = fh.read()
-        outputs.append(blobs)
-    for kind in artifacts:
-        check(outputs[0][kind] == outputs[1][kind],
+    by_seed = [run_artifacts(cli, workdir, f"seed{i}", RUN_KINDS,
+                             seed=seed)
+               for i, seed in enumerate(HASH_SEEDS)]
+    for kind in RUN_KINDS:
+        check(by_seed[0][kind] == by_seed[1][kind],
               f"{kind} output differs across BFGTS_HASH_SEED values")
+    plain = by_seed[0]
 
     # --profile must be purely additive: every deterministic artifact
     # byte-identical to the unprofiled run, the bfgts-prof-v1 report
     # schema-valid. The Chrome timeline is exempt from the byte check
     # (profiling adds host counter tracks) but must stay well-formed.
-    prof_paths = {kind: os.path.join(workdir, "prof-" + pattern
-                                     .format("x"))
-                  for kind, (pattern, _) in artifacts.items()}
     prof_report = os.path.join(workdir, "prof.json")
-    run([cli, *CLI_ARGS,
-         "--json", prof_paths["json"],
-         "--trace", prof_paths["trace"], "--trace-jsonl",
-         "--ts", prof_paths["ts"],
-         "--trace-chrome", prof_paths["chrome"],
-         "--conflict-dot", prof_paths["dot"],
-         "--profile", prof_report],
-        env_extra={"BFGTS_HASH_SEED": "0x0123456789abcdef"})
+    profiled = run_artifacts(cli, workdir, "prof", RUN_KINDS,
+                             ["--profile", prof_report])
     check_prof(load(prof_report), prof_report)
-    check_chrome_trace(prof_paths["chrome"])
     for kind in ("json", "trace", "ts", "dot"):
-        with open(prof_paths[kind], "rb") as fh:
-            check(fh.read() == outputs[0][kind],
-                  f"{kind} output changed under --profile")
+        check(profiled[kind] == plain[kind],
+              f"{kind} output changed under --profile")
 
     # --quality must be equally additive, and unlike --profile its
     # own artifacts are deterministic: two hash seeds must produce
     # byte-identical bfgts-qual-v1 reports and JSONL ledgers.
-    qual_blobs = []
-    for seed in ("0x0123456789abcdef", "0xfedcba9876543210"):
-        qual_json = os.path.join(workdir, f"qual-{seed}.json")
-        qual_jsonl = os.path.join(workdir, f"qual-{seed}.jsonl")
-        obs_json = os.path.join(workdir, f"qual-obs-{seed}.json")
-        run([cli, *CLI_ARGS,
-             "--json", obs_json,
-             "--quality", qual_json,
-             "--quality-jsonl", qual_jsonl],
-            env_extra={"BFGTS_HASH_SEED": seed})
-        check_qual(load(qual_json), qual_json)
-        check_qual_jsonl(qual_jsonl)
-        with open(obs_json, "rb") as fh:
-            check(fh.read() == outputs[0]["json"],
-                  "obs report changed under --quality")
-        with open(qual_json, "rb") as fh_a, \
-                open(qual_jsonl, "rb") as fh_b:
-            qual_blobs.append((fh_a.read(), fh_b.read()))
-    check(qual_blobs[0] == qual_blobs[1],
+    quals = [run_artifacts(cli, workdir, f"qual{i}",
+                           ("json", "qual", "ledger"), seed=seed)
+             for i, seed in enumerate(HASH_SEEDS)]
+    for blobs in quals:
+        check(blobs["json"] == plain["json"],
+              "obs report changed under --quality")
+    check(quals[0] == quals[1],
           "quality artifacts differ across BFGTS_HASH_SEED values")
+
+    # --baseline runs a second, unobserved simulation after the first:
+    # with every observer attached, each artifact must come out
+    # byte-identical to the same run without --baseline.
+    observed = run_artifacts(cli, workdir, "observed", ARTIFACTS)
+    with_base = run_artifacts(cli, workdir, "baseline", ARTIFACTS,
+                              ["--baseline"])
+    for kind in ARTIFACTS:
+        check(observed[kind] == with_base[kind],
+              f"{kind} output changed under --baseline")
 
     # A small sweep matrix exercises the third schema end to end;
     # rerun it with --profile and require the bfgts-sweep-v1 report
-    # byte-identical (the profile is a separate side channel).
-    sweep_args = [cli, "--sweep", "--workloads", "Intruder",
+    # byte-identical (the profile is a separate side channel). The
+    # matrix holds one workload of each suite (STAMP, SPLASH2-like,
+    # data structure), so every sweep leg below covers all three.
+    sweep_args = [cli, "--sweep", "--workloads",
+                  "Intruder,Barnes,HashMap",
                   "--cms", "BFGTS-HW,Backoff", "--tx", "10",
                   "--cpus", "4", "--tpc", "2"]
     sweep_path = os.path.join(workdir, "sweep.json")
@@ -715,10 +722,9 @@ def mode_cli(cli, workdir):
     run(sweep_args + ["--json", sweep_prof_path,
                       "--profile", sweep_profile])
     check_prof(load(sweep_profile), sweep_profile)
-    with open(sweep_path, "rb") as fh_a, \
-            open(sweep_prof_path, "rb") as fh_b:
-        check(fh_a.read() == fh_b.read(),
-              "sweep report changed under --profile")
+    sweep_report = read_bytes(sweep_path)
+    check(read_bytes(sweep_prof_path) == sweep_report,
+          "sweep report changed under --profile")
 
     # Farm leg: split the same matrix across two static shards, merge
     # the partials with --merge-reports, and require the merged
@@ -742,11 +748,8 @@ def mode_cli(cli, workdir):
     check("shard" not in merged,
           f"{merged_path}: merged report still carries a shard "
           "manifest")
-    with open(merged_path, "rb") as fh_a, \
-            open(sweep_path, "rb") as fh_b:
-        check(fh_a.read() == fh_b.read(),
-              "merged 2-shard report differs from the direct sweep "
-              "report")
+    check(read_bytes(merged_path) == sweep_report,
+          "merged 2-shard report differs from the direct sweep report")
 
     # Same for --quality, plus --jobs independence: the bfgts-qual-v1
     # sweep report is deterministic, so 1 worker and 4 workers must
@@ -761,19 +764,16 @@ def mode_cli(cli, workdir):
                           "--json", sweep_qual_path,
                           "--quality", sweep_quality])
         check_qual(load(sweep_quality), sweep_quality)
-        with open(sweep_qual_path, "rb") as fh_a, \
-                open(sweep_path, "rb") as fh_b:
-            check(fh_a.read() == fh_b.read(),
-                  "sweep report changed under --quality")
-        with open(sweep_quality, "rb") as fh:
-            sweep_qual_blobs.append(fh.read())
+        check(read_bytes(sweep_qual_path) == sweep_report,
+              "sweep report changed under --quality")
+        sweep_qual_blobs.append(read_bytes(sweep_quality))
     check(sweep_qual_blobs[0] == sweep_qual_blobs[1],
           "sweep quality report differs across --jobs counts")
 
     print("validate_obs_json: cli OK (report, trace, time series, "
           "chrome timeline, and conflict DOT all byte-identical "
-          "across hash seeds and under --profile/--quality; sweep, "
-          "prof, and qual reports schema-valid; 2-shard farm merge "
+          "across hash seeds and under --profile/--quality/--baseline; "
+          "sweep, prof, and qual reports schema-valid; 2-shard farm merge "
           "byte-identical to the direct sweep)")
 
 
