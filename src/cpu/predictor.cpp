@@ -14,6 +14,11 @@ PredictorSystem::PredictorSystem(int num_cpus,
     : numCpus_(num_cpus), ids_(ids), config_(config)
 {
     sim_assert(num_cpus >= 1);
+    const htm::STxId last = ids.numStaticTx() - 1;
+    residentCaches_.assign(
+        static_cast<std::size_t>(mem::lineNumber(tableOffset(last, last)))
+            + 1,
+        0);
     units_.reserve(static_cast<std::size_t>(num_cpus));
     for (int i = 0; i < num_cpus; ++i) {
         Unit unit;
@@ -43,27 +48,33 @@ PredictorSystem::broadcastEnd(sim::CpuId cpu)
 }
 
 mem::Addr
-PredictorSystem::confAddr(sim::CpuId cpu, htm::STxId row,
-                          htm::STxId col) const
+PredictorSystem::regionBase(sim::CpuId cpu)
 {
     // Each CPU's copy of the confidence table lives in its own
     // region; 1MB spacing keeps regions disjoint for any realistic
     // table size (max tables in the paper are ~800 bytes).
-    const mem::Addr base = 0x10000000ULL
-                         + static_cast<mem::Addr>(cpu) * (1ULL << 20);
+    return 0x10000000ULL + static_cast<mem::Addr>(cpu) * (1ULL << 20);
+}
+
+mem::Addr
+PredictorSystem::tableOffset(htm::STxId row, htm::STxId col) const
+{
     const auto index = static_cast<mem::Addr>(row)
                          * static_cast<mem::Addr>(ids_.numStaticTx())
                      + static_cast<mem::Addr>(col);
-    return base + index * config_.entryBytes;
+    return index * config_.entryBytes;
 }
 
 void
 PredictorSystem::onConfidenceWrite(htm::STxId row, htm::STxId col)
 {
-    for (int cpu = 0; cpu < numCpus_; ++cpu) {
-        units_[static_cast<std::size_t>(cpu)].cache->invalidate(
-            confAddr(cpu, row, col));
-    }
+    // Every cache holding the line refetches it, and a refetch leaves
+    // residency as it was, so the snoop adds the number of holders to
+    // the refetch count -- no cache needs visiting.
+    const auto line =
+        static_cast<std::size_t>(mem::lineNumber(tableOffset(row, col)));
+    sim_assert(line < residentCaches_.size());
+    refetches_.inc(residentCaches_[line]);
     snoopInvalidations_.inc();
 }
 
@@ -89,8 +100,18 @@ PredictorSystem::predict(sim::CpuId self, htm::STxId stx,
             continue;
         // confidx = CPUTable[i] >> shift_value (paper Example 1).
         const htm::STxId confidx = ids_.staticOf(running);
-        const bool hit = unit.cache->access(confAddr(self, stx,
-                                                     confidx));
+        const mem::Addr offset = tableOffset(stx, confidx);
+        mem::Addr evicted = mem::kNoLine;
+        const bool hit =
+            unit.cache->access(regionBase(self) + offset, &evicted);
+        if (!hit) {
+            ++residentCaches_[static_cast<std::size_t>(
+                mem::lineNumber(offset))];
+            if (evicted != mem::kNoLine) {
+                --residentCaches_[static_cast<std::size_t>(
+                    evicted - mem::lineNumber(regionBase(self)))];
+            }
+        }
         result.latency += hit ? unit.cache->hitLatency()
                               : config_.missLatency;
         const std::uint32_t conf = read_conf(stx, confidx);
@@ -127,15 +148,15 @@ PredictorSystem::auditCheck(sim::AuditEngine &audit,
             const htm::DTxId seen =
                 units_[static_cast<std::size_t>(viewer)]
                     .cpuTable[static_cast<std::size_t>(owner)];
-            audit.check(seen == truth, "predictor.cputable",
-                        "CPU Table of cpu "
-                            + std::to_string(viewer)
-                            + " disagrees with the running dTxID on "
-                              "cpu "
-                            + std::to_string(owner),
-                        tick, static_cast<sim::CpuId>(owner),
-                        sim::kNoThread, -1,
-                        static_cast<std::int64_t>(truth));
+            audit.check(
+                seen == truth, "predictor.cputable",
+                [&] {
+                    return "CPU Table of cpu " + std::to_string(viewer)
+                         + " disagrees with the running dTxID on cpu "
+                         + std::to_string(owner);
+                },
+                tick, static_cast<sim::CpuId>(owner), sim::kNoThread,
+                -1, static_cast<std::int64_t>(truth));
         }
     }
 }

@@ -14,6 +14,13 @@
  *    invalidation snoops, so repeated predictions stay fast even
  *    while other CPUs write the tables.
  *
+ * Because a refetch leaves every cache holding what it held, a
+ * confidence-write snoop changes only the refetch count, which is the
+ * number of caches holding the written line. Every CPU's table sits at
+ * the same offset inside its own region, so the system keeps one
+ * resident count per table line (maintained by predict()'s fills and
+ * evictions) and a write costs O(1) however many CPUs there are.
+ *
  * On TX_BEGIN the predictor runs the paper's Example 1: walk the CPU
  * Table, look up confidence[sTxID][sTxID(remote)], and report the
  * first remote transaction whose confidence exceeds the threshold.
@@ -26,6 +33,7 @@
 #ifndef BFGTS_CPU_PREDICTOR_H
 #define BFGTS_CPU_PREDICTOR_H
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -47,8 +55,7 @@ struct PredictorConfig {
     mem::CacheConfig confCache{
         .sizeBytes = 2 * 1024,
         .associativity = 16,
-        .hitLatency = 1,
-        .refetchPolicy = mem::RefetchPolicy::OnInvalidate};
+        .hitLatency = 1};
 
     /** Cycles to trigger the predictor on TX_BEGIN. */
     sim::Cycles triggerCost = 1;
@@ -105,8 +112,10 @@ class PredictorSystem
     void broadcastEnd(sim::CpuId cpu);
 
     /**
-     * The software runtime wrote confidence[row][col]; invalidate the
-     * line in every predictor's confidence cache (they refetch).
+     * The software runtime wrote confidence[row][col]. Every
+     * predictor's confidence cache snoops the invalidation and
+     * refetches the line if it holds it; counts one refetch per
+     * holding cache, in O(1).
      */
     void onConfidenceWrite(htm::STxId row, htm::STxId col);
 
@@ -172,6 +181,13 @@ class PredictorSystem
         return conflictsPredicted_;
     }
 
+    /** Lines refetched by the confidence caches after write snoops,
+     *  summed over CPUs. */
+    const sim::Counter &confCacheRefetches() const
+    {
+        return refetches_;
+    }
+
     /** Confidence-write snoops broadcast to the caches. */
     const sim::Counter &snoopInvalidations() const
     {
@@ -190,14 +206,19 @@ class PredictorSystem
         std::unique_ptr<mem::Cache> cache;
     };
 
-    /** Synthetic physical address of confidence[row][col] for @p cpu. */
-    mem::Addr confAddr(sim::CpuId cpu, htm::STxId row,
-                       htm::STxId col) const;
+    /** Synthetic physical address of @p cpu's confidence table. */
+    static mem::Addr regionBase(sim::CpuId cpu);
+
+    /** Byte offset of confidence[row][col] inside any CPU's table. */
+    mem::Addr tableOffset(htm::STxId row, htm::STxId col) const;
 
     int numCpus_;
     const htm::TxIdSpace &ids_;
     PredictorConfig config_;
     std::vector<Unit> units_;
+    /** Per table line (by offset): confidence caches holding it. */
+    std::vector<std::uint32_t> residentCaches_;
+    sim::Counter refetches_;
     sim::Counter predictions_;
     sim::Counter conflictsPredicted_;
     sim::Counter snoopInvalidations_;

@@ -23,7 +23,7 @@ Cache::setIndex(Addr line) const
 }
 
 bool
-Cache::access(Addr addr)
+Cache::access(Addr addr, Addr *evicted_line)
 {
     const Addr line = lineNumber(addr);
     const int set = setIndex(line);
@@ -36,6 +36,8 @@ Cache::access(Addr addr)
         if (way.valid && way.tag == line) {
             way.lastUse = useClock_;
             hits_.inc();
+            if (evicted_line != nullptr)
+                *evicted_line = kNoLine;
             return true;
         }
         if (!way.valid) {
@@ -45,6 +47,8 @@ Cache::access(Addr addr)
         }
     }
     misses_.inc();
+    if (evicted_line != nullptr)
+        *evicted_line = victim->valid ? victim->tag : kNoLine;
     victim->tag = line;
     victim->valid = true;
     victim->lastUse = useClock_;
@@ -65,7 +69,7 @@ Cache::contains(Addr addr) const
     return false;
 }
 
-void
+bool
 Cache::invalidate(Addr addr)
 {
     const Addr line = lineNumber(addr);
@@ -76,17 +80,11 @@ Cache::invalidate(Addr addr)
         Way &way = base[w];
         if (way.valid && way.tag == line) {
             invalidations_.inc();
-            if (config_.refetchPolicy == RefetchPolicy::OnInvalidate) {
-                // The modified confidence cache fetches the line back
-                // as soon as the invalidation lands; it never goes
-                // stale-absent. Model: line stays resident.
-                refetches_.inc();
-            } else {
-                way.valid = false;
-            }
-            return;
+            way.valid = false;
+            return true;
         }
     }
+    return false;
 }
 
 void

@@ -7,8 +7,10 @@
  * It models the three caches in Table 2: 64kB 2-way L1s, the 32MB
  * 16-way L2, and the 2kB 16-way Tx confidence cache of the hardware
  * scheduling accelerator. The confidence cache's special behaviour --
- * "fetch cache lines evicted by an invalidate snoop" -- is supported
- * via RefetchPolicy::OnInvalidate.
+ * "fetch cache lines evicted by an invalidate snoop" -- never changes
+ * which lines it holds, so the cache itself never sees those snoops:
+ * cpu::PredictorSystem counts the refetches from the lines access()
+ * installs and evicts.
  */
 
 #ifndef BFGTS_MEM_CACHE_H
@@ -23,23 +25,14 @@
 
 namespace mem {
 
-/** What happens to a line invalidated by a coherence snoop. */
-enum class RefetchPolicy {
-    /** Line is dropped; the next access misses (normal cache). */
-    Drop,
-    /**
-     * Line is re-fetched in the background and stays resident
-     * (the paper's modified Tx confidence cache).
-     */
-    OnInvalidate,
-};
+/** No line: what access() reports when a miss evicted nothing. */
+inline constexpr Addr kNoLine = ~Addr{0};
 
 /** Geometry and latency of one cache. */
 struct CacheConfig {
     std::uint64_t sizeBytes = 64 * 1024;
     int associativity = 2;
     sim::Cycles hitLatency = 1;
-    RefetchPolicy refetchPolicy = RefetchPolicy::Drop;
 };
 
 /**
@@ -56,21 +49,23 @@ class Cache
     /**
      * Look up @p addr; install it on a miss.
      *
-     * @param addr Any byte address; aligned internally.
+     * @param addr         Any byte address; aligned internally.
+     * @param evicted_line If non-null, receives the line number
+     *                     (lineNumber()) a miss evicted, or kNoLine on
+     *                     a hit or a fill into an empty way.
      * @return true on hit.
      */
-    bool access(Addr addr);
+    bool access(Addr addr, Addr *evicted_line = nullptr);
 
     /** True if the line holding @p addr is resident (no LRU update). */
     bool contains(Addr addr) const;
 
     /**
-     * Coherence invalidation of the line holding @p addr.
+     * Coherence invalidation: drop the line holding @p addr.
      *
-     * Under RefetchPolicy::OnInvalidate a resident line stays resident
-     * (modeling the background refetch) and the refetch is counted.
+     * @return true if the line was resident (and is now dropped).
      */
-    void invalidate(Addr addr);
+    bool invalidate(Addr addr);
 
     /** Drop every line. */
     void flush();
@@ -82,7 +77,6 @@ class Cache
     const sim::Counter &hits() const { return hits_; }
     const sim::Counter &misses() const { return misses_; }
     const sim::Counter &invalidations() const { return invalidations_; }
-    const sim::Counter &refetches() const { return refetches_; }
 
   private:
     struct Way {
@@ -101,7 +95,6 @@ class Cache
     sim::Counter hits_;
     sim::Counter misses_;
     sim::Counter invalidations_;
-    sim::Counter refetches_;
 };
 
 } // namespace mem

@@ -31,10 +31,8 @@ MemSystem::access(sim::CpuId cpu, Addr addr, bool is_write,
         for (int other = 0; other < config_.numCpus; ++other) {
             if (other == cpu)
                 continue;
-            if (l1s_[other]->contains(addr)) {
-                l1s_[other]->invalidate(addr);
+            if (l1s_[other]->invalidate(addr))
                 need_bus = true;
-            }
         }
     }
 

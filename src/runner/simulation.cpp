@@ -1039,14 +1039,12 @@ Simulation::visitStatGroups(
     }
     // Predictor hardware (meaningful for the HW variants).
     {
-        sim::Counter cache_hits, cache_misses, refetches;
+        sim::Counter cache_hits, cache_misses;
         for (int cpu = 0; cpu < config_.numCpus; ++cpu) {
             cache_hits.inc(
                 predictors_->confCache(cpu).hits().value());
             cache_misses.inc(
                 predictors_->confCache(cpu).misses().value());
-            refetches.inc(
-                predictors_->confCache(cpu).refetches().value());
         }
         sim::StatGroup group("predictor");
         group.addCounter("predictions", &predictors_->predictions());
@@ -1054,7 +1052,8 @@ Simulation::visitStatGroups(
                          &predictors_->conflictsPredicted());
         group.addCounter("confCache.hits", &cache_hits);
         group.addCounter("confCache.misses", &cache_misses);
-        group.addCounter("confCache.refetches", &refetches);
+        group.addCounter("confCache.refetches",
+                         &predictors_->confCacheRefetches());
         group.addCounter("snoopInvalidations",
                          &predictors_->snoopInvalidations());
         group.addCounter("cpuTableUpdates",

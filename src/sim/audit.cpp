@@ -1,6 +1,7 @@
 #include "audit.h"
 
 #include <cstdlib>
+#include <utility>
 
 #include "sim/logging.h"
 #include "sim/trace.h"
@@ -15,6 +16,22 @@ AuditEngine::fired(const std::string &check) const
             return true;
     }
     return false;
+}
+
+void
+AuditEngine::fail(const char *check_id, std::string_view message,
+                  Tick tick, CpuId cpu, ThreadId thread, std::int64_t stx,
+                  std::int64_t dtx)
+{
+    AuditViolation violation;
+    violation.check = check_id;
+    violation.tick = tick;
+    violation.cpu = cpu;
+    violation.thread = thread;
+    violation.sTx = stx;
+    violation.dTx = dtx;
+    violation.message = message;
+    report(std::move(violation));
 }
 
 void

@@ -37,8 +37,10 @@
 #ifndef BFGTS_SIM_AUDIT_H
 #define BFGTS_SIM_AUDIT_H
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/types.h"
@@ -144,27 +146,42 @@ class AuditEngine
      * Returns @p ok so callers can chain dependent checks.
      */
     bool
-    check(bool ok, const char *check_id, const std::string &message,
+    check(bool ok, const char *check_id, std::string_view message,
           Tick tick = 0, CpuId cpu = kNoCpu,
           ThreadId thread = kNoThread, std::int64_t stx = -1,
           std::int64_t dtx = -1)
     {
         countCheck();
-        if (ok)
-            return true;
-        AuditViolation violation;
-        violation.check = check_id;
-        violation.tick = tick;
-        violation.cpu = cpu;
-        violation.thread = thread;
-        violation.sTx = stx;
-        violation.dTx = dtx;
-        violation.message = message;
-        report(std::move(violation));
-        return false;
+        if (!ok)
+            fail(check_id, message, tick, cpu, thread, stx, dtx);
+        return ok;
+    }
+
+    /**
+     * As above, but @p message is a callable returning the message
+     * text, called only when @p ok is false. Sweeps that evaluate an
+     * invariant per CPU, line or slot use it so a passing check
+     * formats nothing.
+     */
+    template <std::invocable MessageFn>
+    bool
+    check(bool ok, const char *check_id, const MessageFn &message,
+          Tick tick = 0, CpuId cpu = kNoCpu,
+          ThreadId thread = kNoThread, std::int64_t stx = -1,
+          std::int64_t dtx = -1)
+    {
+        countCheck();
+        if (!ok)
+            fail(check_id, message(), tick, cpu, thread, stx, dtx);
+        return ok;
     }
 
   private:
+    /** Build the violation of a failed check() and report() it. */
+    void fail(const char *check_id, std::string_view message, Tick tick,
+              CpuId cpu, ThreadId thread, std::int64_t stx,
+              std::int64_t dtx);
+
     bool enabled_ = false;
     bool dryRun_ = false;
     Mode mode_ = Mode::Panic;

@@ -66,35 +66,6 @@ Profiler::endRun(std::uint64_t events_executed, Tick final_tick)
 }
 
 void
-Profiler::enter(Phase phase)
-{
-    const std::uint64_t now = clock_();
-    if (depth_ > 0 && depth_ <= kMaxDepth && now > lastStamp_) {
-        data_.phaseNs[static_cast<std::size_t>(stack_[depth_ - 1])] +=
-            now - lastStamp_;
-    }
-    if (depth_ < kMaxDepth)
-        stack_[static_cast<std::size_t>(depth_)] = phase;
-    ++depth_;
-    lastStamp_ = now;
-    ++data_.phaseCalls[static_cast<std::size_t>(phase)];
-}
-
-void
-Profiler::exit()
-{
-    if (depth_ == 0)
-        return;
-    const std::uint64_t now = clock_();
-    if (depth_ <= kMaxDepth && now > lastStamp_) {
-        data_.phaseNs[static_cast<std::size_t>(stack_[depth_ - 1])] +=
-            now - lastStamp_;
-    }
-    --depth_;
-    lastStamp_ = now;
-}
-
-void
 Profiler::samplePeakRss()
 {
     const std::uint64_t rss = hostPeakRssBytes();

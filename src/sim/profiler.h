@@ -113,11 +113,37 @@ class Profiler
     void endRun(std::uint64_t events_executed, Tick final_tick);
 
     /** Open @p phase: elapsed time since the last stamp is charged
-     *  to the enclosing phase, then @p phase becomes innermost. */
-    void enter(Phase phase);
+     *  to the enclosing phase, then @p phase becomes innermost.
+     *  Inline, like exit(): both run at every hook site. */
+    void
+    enter(Phase phase)
+    {
+        const std::uint64_t now = clock_();
+        if (depth_ > 0 && depth_ <= kMaxDepth && now > lastStamp_) {
+            data_.phaseNs[static_cast<std::size_t>(stack_[depth_ - 1])] +=
+                now - lastStamp_;
+        }
+        if (depth_ < kMaxDepth)
+            stack_[static_cast<std::size_t>(depth_)] = phase;
+        ++depth_;
+        lastStamp_ = now;
+        ++data_.phaseCalls[static_cast<std::size_t>(phase)];
+    }
 
     /** Close the innermost phase, charging it the elapsed time. */
-    void exit();
+    void
+    exit()
+    {
+        if (depth_ == 0)
+            return;
+        const std::uint64_t now = clock_();
+        if (depth_ <= kMaxDepth && now > lastStamp_) {
+            data_.phaseNs[static_cast<std::size_t>(stack_[depth_ - 1])] +=
+                now - lastStamp_;
+        }
+        --depth_;
+        lastStamp_ = now;
+    }
 
     /** Raise the high-water byte gauge for @p structure. */
     void

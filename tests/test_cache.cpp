@@ -18,14 +18,12 @@ using mem::CacheConfig;
 using mem::kLineBytes;
 
 CacheConfig
-tinyCache(int assoc = 2, mem::RefetchPolicy policy
-                         = mem::RefetchPolicy::Drop)
+tinyCache(int assoc = 2)
 {
     // 8 lines total.
     return CacheConfig{.sizeBytes = 8 * kLineBytes,
                        .associativity = assoc,
-                       .hitLatency = 1,
-                       .refetchPolicy = policy};
+                       .hitLatency = 1};
 }
 
 TEST(Cache, MissThenHit)
@@ -91,26 +89,36 @@ TEST(Cache, InvalidateDropsLine)
 {
     Cache cache(tinyCache());
     cache.access(0x40);
-    cache.invalidate(0x40);
+    EXPECT_TRUE(cache.invalidate(0x40));
     EXPECT_FALSE(cache.contains(0x40));
+    EXPECT_EQ(cache.invalidations().value(), 1u);
+    // The line is gone, so a second snoop finds nothing.
+    EXPECT_FALSE(cache.invalidate(0x40));
     EXPECT_EQ(cache.invalidations().value(), 1u);
 }
 
 TEST(Cache, InvalidateMissIsCountedAsNothing)
 {
     Cache cache(tinyCache());
-    cache.invalidate(0x40);
+    EXPECT_FALSE(cache.invalidate(0x40));
     EXPECT_EQ(cache.invalidations().value(), 0u);
 }
 
-TEST(Cache, RefetchOnInvalidateKeepsLineResident)
+TEST(Cache, AccessReportsEvictedLine)
 {
-    Cache cache(tinyCache(2, mem::RefetchPolicy::OnInvalidate));
-    cache.access(0x80);
-    cache.invalidate(0x80);
-    EXPECT_TRUE(cache.contains(0x80));
-    EXPECT_EQ(cache.refetches().value(), 1u);
-    EXPECT_TRUE(cache.access(0x80));
+    // 2-way, 4 sets: lines 0, 4, 8 map to set 0. The confidence-cache
+    // refetch count (cpu::PredictorSystem) is kept from these reports.
+    Cache cache(tinyCache());
+    Addr evicted = 0;
+    EXPECT_FALSE(cache.access(0 * kLineBytes, &evicted));
+    EXPECT_EQ(evicted, mem::kNoLine); // filled an empty way
+    cache.access(4 * kLineBytes + 17, &evicted);
+    EXPECT_EQ(evicted, mem::kNoLine);
+    EXPECT_TRUE(cache.access(0 * kLineBytes, &evicted));
+    EXPECT_EQ(evicted, mem::kNoLine); // a hit evicts nothing
+    EXPECT_FALSE(cache.access(8 * kLineBytes, &evicted));
+    EXPECT_EQ(evicted, 4u); // the LRU line, as a line number
+    EXPECT_FALSE(cache.contains(4 * kLineBytes));
 }
 
 TEST(Cache, FlushDropsEverything)
@@ -138,9 +146,7 @@ TEST(Cache, FullyAssociativeNeverConflictsBelowCapacity)
 {
     Cache cache(CacheConfig{.sizeBytes = 8 * kLineBytes,
                             .associativity = 8,
-                            .hitLatency = 1,
-                            .refetchPolicy
-                            = mem::RefetchPolicy::Drop});
+                            .hitLatency = 1});
     for (Addr line = 0; line < 8; ++line)
         cache.access(line * 64 * 977); // arbitrary distinct lines
     std::uint64_t resident = 0;

@@ -115,6 +115,37 @@ TEST_F(DeterminismTest, HashSeedCannotPerturbResults)
     }
 }
 
+/** Value of stat @p key in a digestFor() text, or -1 if absent. */
+long long
+statValue(const std::string &digest, const std::string &key)
+{
+    std::istringstream lines(digest);
+    std::string name;
+    long long value = 0;
+    for (std::string line; std::getline(lines, line);) {
+        std::istringstream fields(line);
+        if (fields >> name >> value && name == key)
+            return value;
+    }
+    return -1;
+}
+
+TEST_F(DeterminismTest, ScalePointIsHashSeedInvariant)
+{
+    // BFGTS-HW at the 64-CPU scale point: 64 predictors' confidence
+    // caches snoop every confidence write. Few transactions keep the
+    // cell cheap; the snoop counters must still be live.
+    runner::SimConfig config = contendedConfig(cm::CmKind::BfgtsHw);
+    config.numCpus = 64;
+    config.threadsPerCpu = 4;
+    config.txPerThreadOverride = 3;
+    const std::string a = digestFor(config, 0x0123456789abcdefULL);
+    const std::string b = digestFor(config, 0xfedcba9876543210ULL);
+    EXPECT_EQ(a, b) << "64-CPU BFGTS-HW results depend on hash order";
+    EXPECT_GT(statValue(a, "predictor.confCache.refetches"), 0);
+    EXPECT_GT(statValue(a, "predictor.confCache.misses"), 0);
+}
+
 /** JSON stats dump + JSONL trace of one run under @p hash_seed. */
 std::pair<std::string, std::string>
 jsonOutputsFor(const runner::SimConfig &base, std::uint64_t hash_seed)
