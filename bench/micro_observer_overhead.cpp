@@ -8,9 +8,9 @@
  * One leg per observer prices that guarantee by running the same
  * simulation with the observer off and with it attached:
  *
- *  - trace:   a sink that filters every category -- hook sites pay
- *             the wants() mask test and nothing else; it must render
- *             zero records.
+ *  - trace:   a sink that filters every category, so it declares no
+ *             lifecycle event kinds -- emission sites pay one mask
+ *             AND and nothing else; it must render zero records.
  *  - audit:   an engine attached in dry-run mode -- hook sites
  *             dispatch but every checker body is skipped, exactly the
  *             residual cost the hooks impose on an unaudited run.
@@ -133,7 +133,11 @@ class CountingSink : public sim::TraceSink
     std::uint64_t rendered = 0;
 
   protected:
-    void write(const sim::TraceRecord &) override { ++rendered; }
+    void
+    write(const sim::TxEvent &, const sim::TraceLine &) override
+    {
+        ++rendered;
+    }
 };
 
 bool
@@ -142,7 +146,7 @@ traceLeg(const runner::SimConfig &off, Timing &timing)
     CountingSink sink;
     sink.enableOnly({});
     runner::SimConfig on = off;
-    on.traceSink = &sink;
+    on.observers = {&sink};
     timing = measure(off, [&] { return timeRun(on); });
     std::printf("  records rendered %llu (expect 0)\n",
                 static_cast<unsigned long long>(sink.rendered));

@@ -5,8 +5,9 @@
  * Three families of cross-layer checks the per-component
  * auditCheck() sweeps cannot see on their own:
  *
- *  - LifecycleAuditor: a per-thread transaction state machine fed by
- *    the runner at every lifecycle event. Only the legal tx_state.h
+ *  - LifecycleAuditor: a per-thread transaction state machine that
+ *    observes the runner's lifecycle stream (sim/tx_event.h): start,
+ *    access, commit, abort and thread finish. Only the legal tx_state.h
  *    transitions are accepted ("fsm.transition"), and at end of run
  *    every begin must have reached exactly one commit or abort and
  *    every thread must have finished outside a transaction
@@ -40,7 +41,7 @@
 #include <vector>
 
 #include "runner/results.h"
-#include "sim/types.h"
+#include "sim/tx_event.h"
 
 namespace sim {
 class AuditEngine;
@@ -49,23 +50,16 @@ class AuditEngine;
 namespace runner {
 
 /** Per-thread transaction-lifecycle state machine. */
-class LifecycleAuditor
+class LifecycleAuditor : public sim::TxObserver
 {
   public:
-    /** Lifecycle events the runner reports. */
-    enum class TxEvent {
-        Begin,
-        Access,
-        Commit,
-        Abort,
-        ThreadFinish,
-    };
-
     LifecycleAuditor(sim::AuditEngine &audit, int num_threads);
 
-    /** Feed one lifecycle event ("fsm.transition" on violations). */
-    void onEvent(sim::ThreadId thread, TxEvent event, sim::Tick tick,
-                 sim::CpuId cpu, std::int64_t dtx);
+    /** Start, Access, Commit, Abort and ThreadFinish. */
+    sim::TxEventMask kinds() const override;
+
+    /** Check one transition ("fsm.transition" on violations). */
+    void onTxEvent(const sim::TxEvent &event) override;
 
     /** End-of-run balance: begins == commits + aborts, every thread
      *  finished and idle ("fsm.balance"). */

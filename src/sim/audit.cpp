@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "sim/logging.h"
-#include "sim/trace.h"
+#include "sim/tx_event.h"
 
 namespace sim {
 
@@ -38,18 +38,17 @@ void
 AuditEngine::report(AuditViolation violation)
 {
     ++violationCount_;
-    if (sink_ != nullptr) {
-        TraceRecord record;
-        record.tick = violation.tick;
-        record.cpu = violation.cpu;
-        record.thread = violation.thread;
-        record.sTx = violation.sTx;
-        record.dTx = violation.dTx;
-        record.category = TraceCategory::Audit;
-        record.event = "violation";
-        record.details.emplace_back("check", violation.check);
-        record.details.emplace_back("msg", violation.message);
-        sink_->emit(record);
+    TxEvent event;
+    event.kind = TxEventKind::Violation;
+    event.tick = violation.tick;
+    event.cpu = violation.cpu;
+    event.thread = violation.thread;
+    event.sTx = violation.sTx;
+    event.dTx = violation.dTx;
+    event.violation = &violation;
+    for (TxObserver *observer : observers_) {
+        if ((observer->kinds() & txEventBit(event.kind)) != 0)
+            observer->onTxEvent(event);
     }
     if (mode_ == Mode::Panic) {
         sim_panic("audit violation [%s] at tick %llu "

@@ -105,14 +105,7 @@ EventQueue::schedule(Tick when, EventFn fn)
     }
     const std::uint32_t slot = acquireSlot(std::move(fn));
     const EventId id = encodeId(slot, slots_[slot].gen);
-    if (profiler_ != nullptr) {
-        ScopedPhase phase(profiler_, Profiler::kEventQueue);
-        heapPush(HeapNode{when, nextSeq_++, id});
-        profiler_->recordBytes(Profiler::kStructEventQueue,
-                               structBytes());
-    } else {
-        heapPush(HeapNode{when, nextSeq_++, id});
-    }
+    heapPush(HeapNode{when, nextSeq_++, id});
     ++live_;
     return id;
 }
@@ -135,8 +128,13 @@ EventQueue::run(Tick max_tick, std::uint64_t max_events)
 {
     std::uint64_t executed = 0;
     while (!heap_.empty()) {
-        if (profiler_ != nullptr)
+        if (profiler_ != nullptr) {
             profiler_->enter(Profiler::kEventQueue);
+            // Nothing outside run() pops, so the byte high-water is
+            // always reached just before one of these iterations.
+            profiler_->recordBytes(Profiler::kStructEventQueue,
+                                   structBytes());
+        }
         const HeapNode top = heap_.front();
         if (!liveId(top.id)) {
             // Cancelled: the slot generation moved past this node.

@@ -110,10 +110,11 @@ class EventQueue
 
     /**
      * Attach the host-performance profiler (borrowed, may be null).
-     * When set, schedule() and run() charge heap work to the
-     * event-queue wall-time phase, track the byte high-water of the
-     * heap plus the callback slab, and report each executed event for
-     * Perfetto counter sampling. Purely observational: simulated
+     * When set, run() charges its heap pops to the event-queue
+     * wall-time phase, samples the byte high-water of the heap plus
+     * the callback slab once per iteration, and reports each executed
+     * event for Perfetto counter sampling. A schedule() push counts
+     * toward the phase of its caller. Purely observational: simulated
      * behavior is unchanged.
      */
     void setProfiler(Profiler *profiler) { profiler_ = profiler; }

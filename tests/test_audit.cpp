@@ -40,7 +40,7 @@ namespace {
 using runner::ActiveTx;
 using runner::LifecycleAuditor;
 using runner::WaitEdge;
-using TxEvent = LifecycleAuditor::TxEvent;
+using Kind = sim::TxEventKind;
 
 /** A live engine that collects instead of panicking. */
 sim::AuditEngine
@@ -152,12 +152,26 @@ TEST(AuditEventQueue, CleanRunReportsNothing)
 
 // ---- transaction lifecycle FSM --------------------------------------
 
+/** Deliver one lifecycle event to @p fsm, as the runner would. */
+void
+feed(LifecycleAuditor &fsm, sim::ThreadId thread, Kind kind,
+     sim::Tick tick, sim::CpuId cpu, std::int64_t dtx)
+{
+    sim::TxEvent event;
+    event.kind = kind;
+    event.tick = tick;
+    event.cpu = cpu;
+    event.thread = thread;
+    event.dTx = dtx;
+    fsm.onTxEvent(event);
+}
+
 TEST(AuditLifecycle, TransitionFiresOnCommitWithoutBegin)
 {
     sim::AuditEngine engine = collectEngine();
     LifecycleAuditor fsm(engine, 2);
 
-    fsm.onEvent(0, TxEvent::Commit, 5, 0, 3);
+    feed(fsm, 0, Kind::Commit, 5, 0, 3);
     EXPECT_TRUE(engine.fired("fsm.transition"));
 }
 
@@ -166,9 +180,9 @@ TEST(AuditLifecycle, TransitionFiresOnNestedBegin)
     sim::AuditEngine engine = collectEngine();
     LifecycleAuditor fsm(engine, 1);
 
-    fsm.onEvent(0, TxEvent::Begin, 1, 0, 3);
+    feed(fsm, 0, Kind::Start, 1, 0, 3);
     EXPECT_FALSE(engine.fired("fsm.transition"));
-    fsm.onEvent(0, TxEvent::Begin, 2, 0, 4);
+    feed(fsm, 0, Kind::Start, 2, 0, 4);
     EXPECT_TRUE(engine.fired("fsm.transition"));
 }
 
@@ -177,7 +191,7 @@ TEST(AuditLifecycle, BalanceFiresOnUnfinishedTransaction)
     sim::AuditEngine engine = collectEngine();
     LifecycleAuditor fsm(engine, 1);
 
-    fsm.onEvent(0, TxEvent::Begin, 1, 0, 3);
+    feed(fsm, 0, Kind::Start, 1, 0, 3);
     fsm.finalize(10);
     EXPECT_TRUE(engine.fired("fsm.balance"));
 }
@@ -187,13 +201,13 @@ TEST(AuditLifecycle, CleanSequencePasses)
     sim::AuditEngine engine = collectEngine();
     LifecycleAuditor fsm(engine, 2);
 
-    fsm.onEvent(0, TxEvent::Begin, 1, 0, 3);
-    fsm.onEvent(0, TxEvent::Access, 2, 0, 3);
-    fsm.onEvent(0, TxEvent::Commit, 3, 0, 3);
-    fsm.onEvent(0, TxEvent::ThreadFinish, 4, 0, -1);
-    fsm.onEvent(1, TxEvent::Begin, 1, 1, 7);
-    fsm.onEvent(1, TxEvent::Abort, 2, 1, 7);
-    fsm.onEvent(1, TxEvent::ThreadFinish, 3, 1, -1);
+    feed(fsm, 0, Kind::Start, 1, 0, 3);
+    feed(fsm, 0, Kind::Access, 2, 0, 3);
+    feed(fsm, 0, Kind::Commit, 3, 0, 3);
+    feed(fsm, 0, Kind::ThreadFinish, 4, 0, -1);
+    feed(fsm, 1, Kind::Start, 1, 1, 7);
+    feed(fsm, 1, Kind::Abort, 2, 1, 7);
+    feed(fsm, 1, Kind::ThreadFinish, 3, 1, -1);
     fsm.finalize(10);
 
     EXPECT_EQ(engine.violationCount(), 0u);

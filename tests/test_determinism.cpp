@@ -154,7 +154,7 @@ jsonOutputsFor(const runner::SimConfig &base, std::uint64_t hash_seed)
     std::ostringstream trace_os;
     sim::JsonlTraceSink sink(trace_os);
     runner::SimConfig config = base;
-    config.traceSink = &sink;
+    config.observers = {&sink};
     runner::Simulation sim(config);
     sim.run();
     std::ostringstream stats_os;

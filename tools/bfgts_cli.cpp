@@ -34,7 +34,7 @@
  *                     (tx,sched,cm,predictor,mem,audit; default all)
  *   --trace-chrome F  write a Chrome trace_event timeline (open in
  *                     Perfetto / chrome://tracing); composes with
- *                     --trace via a fanout sink
+ *                     --trace
  *   --ts FILE         write the bfgts-ts-v1 interval time-series
  *                     (JSON Lines; docs/observability.md)
  *   --ts-interval N   sampling window in ticks (default 10000)
@@ -117,6 +117,7 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -181,6 +182,27 @@ usage(const char *argv0)
                  "          %s --merge-reports PARTIAL... --json FILE\n",
                  argv0, argv0, argv0, argv0);
     std::exit(1);
+}
+
+/**
+ * Parse the value @p text of numeric flag @p flag: a whole decimal
+ * integer of @p lo's type, at least @p lo. Anything else (trailing
+ * junk, a sign where none fits, overflow) is a usage error.
+ */
+template <typename Int>
+Int
+parseAtLeast(const char *flag, const char *text, Int lo,
+             const char *argv0)
+{
+    Int value{};
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end || value < lo) {
+        std::fprintf(stderr, "bad %s '%s' (want an integer >= %s)\n",
+                     flag, text, std::to_string(lo).c_str());
+        usage(argv0);
+    }
+    return value;
 }
 
 /** Open @p path into @p file; false, with a message, on failure. */
@@ -627,6 +649,10 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        // The value of a numeric flag, no smaller than @p lo.
+        auto count = [&](auto lo) {
+            return parseAtLeast(arg.c_str(), next(), lo, argv[0]);
+        };
         if (arg == "--list") {
             listEverything();
             return 0;
@@ -635,16 +661,16 @@ main(int argc, char **argv)
         } else if (arg == "--cm") {
             manager = next();
         } else if (arg == "--cpus") {
-            options.numCpus = std::atoi(next());
+            options.numCpus = count(1);
         } else if (arg == "--tpc") {
-            options.threadsPerCpu = std::atoi(next());
+            options.threadsPerCpu = count(1);
         } else if (arg == "--tx") {
-            options.txPerThread = std::atoi(next());
+            options.txPerThread = count(0);
         } else if (arg == "--seed") {
             options.seed = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--bloom-bits") {
-            options.tuning.bfgts.bloom.numBits =
-                std::strtoull(next(), nullptr, 10);
+            // bloom::BloomFilter needs at least one 64-bit word.
+            options.tuning.bfgts.bloom.numBits = count(std::uint64_t{64});
         } else if (arg == "--interval") {
             options.tuning.bfgts.smallTxInterval = std::atoi(next());
         } else if (arg == "--slots") {
@@ -668,9 +694,7 @@ main(int argc, char **argv)
         } else if (arg == "--ts") {
             ts_path = next();
         } else if (arg == "--ts-interval") {
-            ts_interval = std::strtoull(next(), nullptr, 10);
-            if (ts_interval == 0)
-                usage(argv[0]);
+            ts_interval = count(sim::Tick{1});
         } else if (arg == "--conflict-dot") {
             dot_path = next();
         } else if (arg == "--profile") {
@@ -688,7 +712,7 @@ main(int argc, char **argv)
         } else if (arg == "--seeds") {
             sweep_seeds = splitList(next());
         } else if (arg == "--jobs") {
-            sweep_jobs = std::atoi(next());
+            sweep_jobs = count(1);
         } else if (arg == "--cache") {
             sweep_cache = next();
         } else if (arg == "--baselines") {
@@ -710,9 +734,7 @@ main(int argc, char **argv)
             farm_cli.stealDir = next();
             farm_cli.enabled = true;
         } else if (arg == "--steal-stale") {
-            farm_cli.stealStaleSec = std::atoi(next());
-            if (farm_cli.stealStaleSec < 1)
-                usage(argv[0]);
+            farm_cli.stealStaleSec = count(1);
         } else if (arg == "--merge-reports") {
             merge_mode = true;
         } else if (merge_mode && !arg.empty() && arg[0] != '-') {
@@ -789,24 +811,17 @@ main(int argc, char **argv)
         if (!trace_cats.empty())
             trace_sink->enableOnly(
                 parseTraceCats(trace_cats, argv[0]));
-        config.traceSink = trace_sink.get();
+        config.observers.push_back(trace_sink.get());
     }
 
     std::ofstream chrome_file;
     std::unique_ptr<sim::ChromeTraceSink> chrome_sink;
-    sim::FanoutTraceSink fanout;
     if (!chrome_path.empty()) {
         if (!openOutput(chrome_file, chrome_path))
             return 1;
         chrome_sink =
             std::make_unique<sim::ChromeTraceSink>(chrome_file);
-        if (trace_sink != nullptr) {
-            fanout.addSink(trace_sink.get());
-            fanout.addSink(chrome_sink.get());
-            config.traceSink = &fanout;
-        } else {
-            config.traceSink = chrome_sink.get();
-        }
+        config.observers.push_back(chrome_sink.get());
     }
 
     std::ofstream ts_file;
