@@ -44,7 +44,8 @@ class Profiler
   public:
     /** Subsystem wall-time buckets (self-time; see file comment). */
     enum Phase : int {
-        /** Event-queue heap pop/push and dispatch bookkeeping. */
+        /** Event-queue heap pops and dispatch bookkeeping; a push
+         *  counts toward the phase of whoever schedules. */
         kEventQueue = 0,
         /** Workload generation (next descriptor). */
         kWorkload,
