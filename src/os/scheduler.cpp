@@ -181,7 +181,17 @@ OsScheduler::scheduleDispatch(sim::CpuId cpu_id, sim::Cycles delay)
     if (cpu.dispatchPending)
         return;
     cpu.dispatchPending = true;
-    events_.scheduleIn(delay, [this, cpu_id] { dispatch(cpu_id); });
+    events_.scheduleIn(delay, this, static_cast<std::uint64_t>(cpu_id));
+}
+
+void
+OsScheduler::fire(std::uint64_t arg)
+{
+    const auto id = static_cast<int>(arg & ~kResumeBit);
+    if ((arg & kResumeBit) != 0)
+        dispatchFn_(id);
+    else
+        dispatch(id);
 }
 
 void
@@ -221,7 +231,8 @@ OsScheduler::dispatch(sim::CpuId cpu_id)
     if (ctx_cost == 0) {
         dispatchFn_(tid);
     } else {
-        events_.scheduleIn(ctx_cost, [this, tid] { dispatchFn_(tid); });
+        events_.scheduleIn(ctx_cost, this,
+                           kResumeBit | static_cast<std::uint64_t>(tid));
     }
 }
 

@@ -23,6 +23,7 @@
 #ifndef BFGTS_OS_SCHEDULER_H
 #define BFGTS_OS_SCHEDULER_H
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -58,7 +59,7 @@ struct SchedulerConfig {
 /**
  * Per-CPU round-robin scheduler with explicit kernel costs.
  */
-class OsScheduler
+class OsScheduler : private sim::EventTarget
 {
   public:
     /** Callback invoked when a thread is dispatched onto its CPU. */
@@ -170,10 +171,17 @@ class OsScheduler
         sim::ThreadId lastRun = sim::kNoThread;
     };
 
+    /** Event arg bit: resume a thread after its context switch
+     *  (arg = bit | tid); clear, arg is the CPU to dispatch. */
+    static constexpr std::uint64_t kResumeBit = 1ULL << 32;
+
+    /** Event body: dispatch a CPU or resume a thread, per kResumeBit. */
+    void fire(std::uint64_t arg) override;
+
     /** Schedule the next dispatch on @p cpu after @p delay cycles. */
     void scheduleDispatch(sim::CpuId cpu, sim::Cycles delay);
 
-    /** Pop and run the next ready thread on @p cpu (event body). */
+    /** Pop and run the next ready thread on @p cpu. */
     void dispatch(sim::CpuId cpu);
 
     ThreadContext &mutableThread(sim::ThreadId tid);

@@ -1,6 +1,7 @@
 #include "farm.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -49,8 +50,11 @@ donePath(const std::string &dir, std::size_t index)
 void
 publishFile(const std::string &path, const std::string &body)
 {
-    const std::string tmp =
-        path + ".tmp." + std::to_string(getpid());
+    // pid alone is shared by in-process workers, which would then
+    // truncate each other's temp file mid-publish.
+    static std::atomic<std::uint64_t> serial{0};
+    const std::string tmp = path + ".tmp." + std::to_string(getpid())
+                            + "." + std::to_string(serial++);
     {
         std::ofstream os(tmp);
         if (!os)

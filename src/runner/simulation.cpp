@@ -205,23 +205,37 @@ void
 Simulation::advanceSpan(Worker &worker, const Charge *charges,
                         std::size_t count)
 {
-    sim_assert(worker.pendingEvent == sim::kNoEvent);
+    sim_assert(!worker.stepPending);
     sim::Cycles total = 0;
     for (std::size_t i = 0; i < count; ++i) {
         charge(worker, charges[i].cycles, charges[i].bucket);
         total += charges[i].cycles;
     }
-    Worker *wp = &worker;
-    worker.pendingEvent = events_.scheduleIn(total, [this, wp] {
-        wp->pendingEvent = sim::kNoEvent;
-        step(*wp);
-    });
+    worker.stepPending = true;
+    events_.scheduleIn(total, this,
+                       static_cast<std::uint64_t>(worker.stepGen) << 32
+                           | static_cast<std::uint32_t>(worker.tid));
+}
+
+void
+Simulation::fire(std::uint64_t arg)
+{
+    Worker &worker = workers_[static_cast<std::uint32_t>(arg)];
+    worker.stepPending = false;
+    step(worker);
+}
+
+bool
+Simulation::live(std::uint64_t arg) const
+{
+    return workers_[static_cast<std::uint32_t>(arg)].stepGen
+           == static_cast<std::uint32_t>(arg >> 32);
 }
 
 void
 Simulation::step(Worker &worker)
 {
-    sim_assert(worker.pendingEvent == sim::kNoEvent);
+    sim_assert(!worker.stepPending);
     sim_assert(sched_->runningOn(sched_->thread(worker.tid).cpu)
                == worker.tid);
     bool cont = true;
@@ -617,12 +631,11 @@ Simulation::abortTx(Worker &worker, const cm::TxInfo &enemy)
     sim_assert(worker.tx.active);
     sim_assert(!worker.committing);
 
-    // A remotely aborted victim has an in-flight continuation;
-    // replace it with the abort sequence.
-    if (worker.pendingEvent != sim::kNoEvent) {
-        events_.deschedule(worker.pendingEvent);
-        worker.pendingEvent = sim::kNoEvent;
-    }
+    // A remotely aborted victim has an in-flight continuation; the
+    // generation bump leaves it stale, and the abort sequence below
+    // schedules the replacement.
+    ++worker.stepGen;
+    worker.stepPending = false;
 
     detector_->removeTx(worker.tx);
     runningTx_.erase(worker.tx.dTxId);

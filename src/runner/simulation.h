@@ -51,7 +51,7 @@ struct SampleGauges;
 namespace runner {
 
 /** One full simulation run. Build, run() once, read the results. */
-class Simulation
+class Simulation : private sim::EventTarget
 {
   public:
     explicit Simulation(const SimConfig &config);
@@ -154,7 +154,11 @@ class Simulation
         sim::Tick stallStart = 0;
         htm::DTxId stallOn = htm::kNoTx;
         bool committing = false;
-        sim::EventId pendingEvent = sim::kNoEvent;
+        /** Generation of the worker's step node; abortTx bumps it,
+         *  leaving an in-flight step stale. */
+        std::uint32_t stepGen = 0;
+        /** Set while a step node for this worker is in flight. */
+        bool stepPending = false;
         sim::Cycles attemptCycles = 0;
         /** Enemy the most recent begin decision serialized behind
          *  (kNoTx when the last begin proceeded unserialized). */
@@ -187,6 +191,11 @@ class Simulation
     };
 
     void step(Worker &worker);
+
+    /** Step event: arg = stepGen << 32 | worker index. */
+    void fire(std::uint64_t arg) override;
+    /** A step node is live while its generation is current. */
+    bool live(std::uint64_t arg) const override;
 
     // Phase bodies; return true to continue the zero-time loop.
     bool doStartDescriptor(Worker &worker);

@@ -44,53 +44,8 @@ EventQueue::heapPop()
     }
 }
 
-std::uint32_t
-EventQueue::acquireSlot(EventFn &&fn)
-{
-    std::uint32_t slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-    } else {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-    }
-    Slot &s = slots_[slot];
-    s.fn = std::move(fn);
-    s.live = true;
-    return slot;
-}
-
 void
-EventQueue::releaseSlot(std::uint32_t slot)
-{
-    Slot &s = slots_[slot];
-    s.fn = nullptr;
-    s.live = false;
-    ++s.gen; // Invalidates every outstanding handle to this slot.
-    freeSlots_.push_back(slot);
-}
-
-bool
-EventQueue::liveId(EventId id) const
-{
-    const std::uint32_t slot = slotOf(id);
-    if (slot >= slots_.size())
-        return false;
-    const Slot &s = slots_[slot];
-    return s.live && s.gen == static_cast<std::uint32_t>(id >> 32);
-}
-
-std::size_t
-EventQueue::structBytes() const
-{
-    return heap_.size() * sizeof(HeapNode)
-         + slots_.capacity() * sizeof(Slot)
-         + freeSlots_.capacity() * sizeof(std::uint32_t);
-}
-
-EventId
-EventQueue::schedule(Tick when, EventFn fn)
+EventQueue::schedule(Tick when, EventTarget *target, std::uint64_t arg)
 {
     if (audit_ != nullptr && audit_->shouldCheck()) {
         // Under audit the past-scheduling invariant reports through
@@ -103,24 +58,7 @@ EventQueue::schedule(Tick when, EventFn fn)
     } else {
         sim_assert(when >= curTick_);
     }
-    const std::uint32_t slot = acquireSlot(std::move(fn));
-    const EventId id = encodeId(slot, slots_[slot].gen);
-    heapPush(HeapNode{when, nextSeq_++, id});
-    ++live_;
-    return id;
-}
-
-bool
-EventQueue::deschedule(EventId id)
-{
-    if (id == kNoEvent || !liveId(id))
-        return false;
-    // O(1) lazy deletion: bump the slot generation so the heap node
-    // is recognized as stale and skipped when it surfaces.
-    releaseSlot(slotOf(id));
-    if (live_ > 0)
-        --live_;
-    return true;
+    heapPush(HeapNode{when, nextSeq_++, target, arg});
 }
 
 std::uint64_t
@@ -133,11 +71,11 @@ EventQueue::run(Tick max_tick, std::uint64_t max_events)
             // Nothing outside run() pops, so the byte high-water is
             // always reached just before one of these iterations.
             profiler_->recordBytes(Profiler::kStructEventQueue,
-                                   structBytes());
+                                   heap_.size() * sizeof(HeapNode));
         }
         const HeapNode top = heap_.front();
-        if (!liveId(top.id)) {
-            // Cancelled: the slot generation moved past this node.
+        if (!top.target->live(top.arg)) {
+            // Superseded: dropped without touching time or order.
             heapPop();
             if (profiler_ != nullptr)
                 profiler_->exit();
@@ -163,17 +101,12 @@ EventQueue::run(Tick max_tick, std::uint64_t max_events)
             lastExecSeq_ = top.seq;
             anyExecuted_ = true;
         }
-        // Move the callback out and recycle the slot before invoking:
-        // the callback may schedule new events (possibly reusing this
-        // very slot under a fresh generation).
-        EventFn fn = std::move(slots_[slotOf(top.id)].fn);
-        releaseSlot(slotOf(top.id));
+        // Pop before firing: the target may schedule new events.
         heapPop();
-        --live_;
         curTick_ = top.when;
         if (profiler_ != nullptr)
             profiler_->exit();
-        fn();
+        top.target->fire(top.arg);
         if (profiler_ != nullptr)
             profiler_->onEventExecuted(curTick_);
         if (++executed > max_events) {

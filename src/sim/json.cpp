@@ -7,6 +7,12 @@
 
 #include "sim/logging.h"
 
+// Written at build time by git_stamp.cmake; builds that do not
+// generate it (perfbench's stand-alone build) report "unknown".
+#if __has_include("bfgts_git_describe.h")
+#include "bfgts_git_describe.h"
+#endif
+
 namespace sim {
 
 std::string

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/chrome_trace.h"
-#include "sim/event_queue.h"
 #include "sim/json.h"
 #include "sim/logging.h"
 
@@ -20,16 +19,16 @@ Sampler::start(EventQueue &events, SnapshotFn snapshot,
 {
     sim_assert(!started_);
     started_ = true;
+    events_ = &events;
     snapshot_ = std::move(snapshot);
     active_ = std::move(active);
     lastBoundary_ = events.curTick();
     writeHeader();
-    events.scheduleIn(config_.interval,
-                      [this, &events] { fire(events); });
+    events.scheduleIn(config_.interval, this);
 }
 
 void
-Sampler::fire(EventQueue &events)
+Sampler::fire(std::uint64_t /*arg*/)
 {
     if (finished_)
         return;
@@ -41,10 +40,9 @@ Sampler::fire(EventQueue &events)
         finished_ = true;
         return;
     }
-    emitWindow(lastBoundary_, events.curTick());
-    lastBoundary_ = events.curTick();
-    events.scheduleIn(config_.interval,
-                      [this, &events] { fire(events); });
+    emitWindow(lastBoundary_, events_->curTick());
+    lastBoundary_ = events_->curTick();
+    events_->scheduleIn(config_.interval, this);
 }
 
 void

@@ -38,12 +38,12 @@
 #include <ostream>
 #include <vector>
 
+#include "sim/event_queue.h"
 #include "sim/types.h"
 
 namespace sim {
 
 class ChromeTraceSink;
-class EventQueue;
 class JsonWriter;
 
 /** Cumulative event counts since the start of the run. */
@@ -90,7 +90,7 @@ struct TimeSeriesWindow {
 };
 
 /** Periodic window sampler; see file comment. */
-class Sampler
+class Sampler : private EventTarget
 {
   public:
     struct Config {
@@ -142,8 +142,8 @@ class Sampler
     void summaryJson(JsonWriter &jw) const;
 
   private:
-    /** Window-boundary event body at @p events.curTick(). */
-    void fire(EventQueue &events);
+    /** Window-boundary event body at events_->curTick(). */
+    void fire(std::uint64_t arg) override;
 
     /** Snapshot and emit the window [start, end). */
     void emitWindow(Tick start, Tick end);
@@ -152,6 +152,7 @@ class Sampler
     void writeWindow(const TimeSeriesWindow &w);
 
     Config config_;
+    EventQueue *events_ = nullptr;
     SnapshotFn snapshot_;
     ActiveFn active_;
     ChromeTraceSink *counterSink_ = nullptr;

@@ -26,6 +26,7 @@
 #include "cm/bfgts.h"
 #include "cm/factory.h"
 #include "cpu/predictor.h"
+#include "event_script.h"
 #include "htm/conflict_detector.h"
 #include "htm/tx_id.h"
 #include "htm/tx_state.h"
@@ -104,16 +105,17 @@ TEST(AuditEventQueue, MonotonicFiresOnPastScheduling)
 {
     sim::AuditEngine engine = collectEngine();
     sim::EventQueue events;
+    testutil::EventScript script(events);
     events.setAudit(&engine);
 
-    events.schedule(10, [] {});
+    script.at(10, [] {});
     events.run();
     ASSERT_EQ(events.curTick(), 10u);
     EXPECT_FALSE(engine.fired("event.monotonic"));
 
     // Scheduling into the past is the violation (and is clamped so
     // the collected run can continue).
-    events.schedule(5, [] {});
+    script.at(5, [] {});
     EXPECT_TRUE(engine.fired("event.monotonic"));
 }
 
@@ -121,29 +123,54 @@ TEST(AuditEventQueue, TiebreakFiresOnSequenceRewind)
 {
     sim::AuditEngine engine = collectEngine();
     sim::EventQueue events;
+    testutil::EventScript script(events);
     events.setAudit(&engine);
 
     int order = 0;
-    events.schedule(10, [&order] { order = order * 10 + 1; });
+    script.at(10, [&order] { order = order * 10 + 1; });
     // Rewind the insertion counter: the second same-tick event reuses
     // the first one's sequence number, so the executed (tick, seq)
     // stream can no longer be strictly increasing.
     events.testSetNextSeq(0);
-    events.schedule(10, [&order] { order = order * 10 + 2; });
+    script.at(10, [&order] { order = order * 10 + 2; });
     events.run();
 
     EXPECT_TRUE(engine.fired("event.tiebreak"));
+}
+
+TEST(AuditEventQueue, StaleNodeIsNotTiebreakChecked)
+{
+    /** Fires nothing; every node it schedules is stale. */
+    struct StaleTarget final : sim::EventTarget {
+        void fire(std::uint64_t) override { ADD_FAILURE(); }
+        bool live(std::uint64_t) const override { return false; }
+    };
+    sim::AuditEngine engine = collectEngine();
+    sim::EventQueue events;
+    testutil::EventScript script(events);
+    StaleTarget stale;
+    events.setAudit(&engine);
+
+    // The stale node reuses the live node's (tick, seq); were it
+    // order-checked, the pair could never be strictly increasing.
+    script.at(10, [] {});
+    events.testSetNextSeq(0);
+    events.schedule(10, &stale);
+    EXPECT_EQ(events.run(), 1u);
+
+    EXPECT_FALSE(engine.fired("event.tiebreak"));
 }
 
 TEST(AuditEventQueue, CleanRunReportsNothing)
 {
     sim::AuditEngine engine = collectEngine();
     sim::EventQueue events;
+    testutil::EventScript script(events);
     events.setAudit(&engine);
 
-    events.schedule(1, [] {});
-    events.schedule(1, [] {});
-    events.schedule(7, [] {});
+    script.at(1, [] {});
+    script.at(1, [] {});
+    script.at(7, [] {});
     events.run();
 
     EXPECT_GT(engine.checksRun(), 0u);

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "event_script.h"
 #include "runner/experiment.h"
 #include "runner/simulation.h"
 #include "sim/event_queue.h"
@@ -23,6 +24,7 @@ namespace {
  *  @p commit_every ticks until @p end_tick, then report windows. */
 struct SyntheticRun {
     sim::EventQueue events;
+    testutil::EventScript script{events};
     std::uint64_t commits = 0;
     bool active = true;
 
@@ -32,8 +34,8 @@ struct SyntheticRun {
     {
         for (sim::Tick t = commit_every; t < end_tick;
              t += commit_every)
-            events.schedule(t, [this] { ++commits; });
-        events.schedule(end_tick, [this] { active = false; });
+            script.at(t, [this] { ++commits; });
+        script.at(end_tick, [this] { active = false; });
         sampler.start(
             events,
             [this](sim::SampleCounts &counts, sim::SampleGauges &) {

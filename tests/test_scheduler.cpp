@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "event_script.h"
 #include "os/scheduler.h"
 
 namespace {
@@ -36,6 +37,7 @@ class SchedulerTest : public ::testing::Test
     }
 
     sim::EventQueue events_;
+    testutil::EventScript script_{events_};
     OsScheduler sched_;
     std::vector<int> dispatches_;
 };
@@ -212,7 +214,7 @@ TEST_F(SchedulerTest, PreemptAfterQuantum)
             return;
         }
         // Simulate compute until past the quantum, then check.
-        events_.scheduleIn(1500, [this, tid, &order] {
+        script_.in(1500, [this, tid, &order] {
             if (sched_.shouldPreempt(tid)) {
                 sched_.preemptCurrent(tid);
             } else if (order.size() >= 4) {
@@ -235,7 +237,7 @@ TEST_F(SchedulerTest, NoPreemptWithoutWaiters)
     sched_.addThread(0);
     bool checked = false;
     sched_.setDispatchFn([&](sim::ThreadId tid) {
-        events_.scheduleIn(5000, [this, tid, &checked] {
+        script_.in(5000, [this, tid, &checked] {
             checked = true;
             EXPECT_FALSE(sched_.shouldPreempt(tid));
             sched_.finishCurrent(tid);
@@ -252,7 +254,7 @@ TEST_F(SchedulerTest, IdleCyclesAccumulateWhileQueueEmpty)
     sched_.setDispatchFn([&](sim::ThreadId tid) {
         sched_.blockCurrent(tid);
         // Wake it much later from a detached event.
-        events_.scheduleIn(1000, [this] { sched_.wake(0); });
+        script_.in(1000, [this] { sched_.wake(0); });
     });
     bool finished = false;
     sched_.start();
@@ -261,7 +263,7 @@ TEST_F(SchedulerTest, IdleCyclesAccumulateWhileQueueEmpty)
         if (!finished) {
             finished = true;
             sched_.blockCurrent(tid);
-            events_.scheduleIn(1000, [this] { sched_.wake(0); });
+            script_.in(1000, [this] { sched_.wake(0); });
         } else {
             sched_.finishCurrent(tid);
         }

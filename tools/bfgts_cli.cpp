@@ -436,7 +436,8 @@ runSweep(const std::vector<std::string> &workload_names,
 
     std::vector<std::uint64_t> seeds;
     for (const std::string &name : seed_names)
-        seeds.push_back(std::strtoull(name.c_str(), nullptr, 10));
+        seeds.push_back(
+            parseAtLeast("--seeds", name.c_str(), std::uint64_t{0}, argv0));
     if (seeds.empty())
         seeds.push_back(base.seed);
 
@@ -667,14 +668,14 @@ main(int argc, char **argv)
         } else if (arg == "--tx") {
             options.txPerThread = count(0);
         } else if (arg == "--seed") {
-            options.seed = std::strtoull(next(), nullptr, 10);
+            options.seed = count(std::uint64_t{0});
         } else if (arg == "--bloom-bits") {
             // bloom::BloomFilter needs at least one 64-bit word.
             options.tuning.bfgts.bloom.numBits = count(std::uint64_t{64});
         } else if (arg == "--interval") {
-            options.tuning.bfgts.smallTxInterval = std::atoi(next());
+            options.tuning.bfgts.smallTxInterval = count(1);
         } else if (arg == "--slots") {
-            options.tuning.bfgts.confTableSlots = std::atoi(next());
+            options.tuning.bfgts.confTableSlots = count(0);
         } else if (arg == "--audit") {
             options.audit = true;
         } else if (arg == "--baseline") {

@@ -724,14 +724,16 @@ def golden_leg(cli):
     shutil.rmtree(workdir)
 
 
-# Machine flags the model cannot run: each must be a usage error
-# (exit 1) from the CLI's checked parser, never a panic inside the
-# model. None of them may start a sweep worker.
+# Numeric flags the model cannot run (machine shape, seeds, BFGTS
+# tuning): each must be a usage error (exit 1) from the CLI's checked
+# parser, never a panic inside the model or a silent run. None of them
+# may start a sweep worker.
 BAD_FLAGS = (("--cpus", "abc"), ("--cpus", "0"), ("--cpus", "4x"),
              ("--cpus", "99999999999999999999"), ("--tpc", "0"),
              ("--tx", "-3"), ("--bloom-bits", "7"), ("--bloom-bits", "0"),
              ("--jobs", "0"), ("--jobs", "abc"), ("--steal-stale", "0"),
-             ("--ts-interval", "0"))
+             ("--ts-interval", "0"), ("--seed", "abc"), ("--slots", "-5"),
+             ("--interval", "-1"), ("--sweep", "--seeds", "1,x"))
 
 
 def bad_flags_leg(cli):
@@ -857,7 +859,7 @@ def mode_cli(cli, workdir):
           "sweep quality report differs across --jobs counts")
 
     print("validate_obs_json: cli OK (golden trace and ledger digests "
-          "match; bad machine flags are usage errors; report, trace, "
+          "match; bad numeric flags are usage errors; report, trace, "
           "time series, chrome timeline, and conflict DOT all "
           "byte-identical "
           "across hash seeds and under --profile/--quality/--baseline; "
